@@ -60,17 +60,21 @@ def from_couplings(targets: CouplingTargets, fbw: float) -> CouplingMatrix:
     return CouplingMatrix(m=m, qe1=targets.qe_in * fbw, qen=targets.qe_out * fbw)
 
 
-def system_matrix(cm: CouplingMatrix, s: complex) -> np.ndarray:
+def system_matrix(cm: CouplingMatrix, s) -> np.ndarray:
     """Frequency-dependent filter matrix at complex prototype frequency s.
 
     A(s) = Q + s I - j m, where Q is zero except for 1/qe1 and 1/qen in
     the first and last diagonal entries. A is complex-symmetric (not
-    Hermitian) and affine in s.
+    Hermitian) and affine in s. For an array s the result has shape
+    s.shape + (n, n), one matrix per point, filled in place.
     """
-    a = (-1j) * cm.m.astype(complex)
-    a[np.diag_indices(cm.n)] += s
-    a[0, 0] += 1.0 / cm.qe1
-    a[-1, -1] += 1.0 / cm.qen
+    s = np.asarray(s)
+    a = np.empty(s.shape + (cm.n, cm.n), dtype=complex)
+    a[...] = (-1j) * cm.m.astype(complex)
+    diag = a.reshape(s.shape + (-1,))[..., :: cm.n + 1]  # a view of each diagonal
+    diag += s[..., None]
+    diag[..., 0] += 1.0 / cm.qe1
+    diag[..., -1] += 1.0 / cm.qen
     return a
 
 
@@ -81,7 +85,4 @@ def pole_matrix(cm: CouplingMatrix) -> np.ndarray:
     for a passive loaded network all eigenvalues lie in the left half
     plane.
     """
-    mm = 1j * cm.m.astype(complex)
-    mm[0, 0] -= 1.0 / cm.qe1
-    mm[-1, -1] -= 1.0 / cm.qen
-    return mm
+    return -system_matrix(cm, 0.0)

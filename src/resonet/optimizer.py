@@ -17,8 +17,8 @@ import numpy as np
 
 from .coupling import CouplingMatrix
 from .errors import InvalidSpecError, NumericalError
-from .prototype import FilterSpec
-from .response import s_parameters
+from .prototype import FilterSpec, _realized_ripple_db
+from .response import _scattering
 
 _PALINDROME_RTOL = 1e-12
 
@@ -43,10 +43,11 @@ class CostConfig:
     @classmethod
     def from_spec(cls, spec: FilterSpec) -> "CostConfig":
         """Equiripple targets: zeros at cos((2i-1) pi / 2n) and band-edge
-        reflection eps / sqrt(1 + eps^2) from the ripple value."""
+        reflection eps / sqrt(1 + eps^2) from the ripple the prototype
+        realizes, so a synthesized matrix costs zero to rounding."""
         n = spec.order
         zeros = tuple(math.cos((2 * i - 1) * math.pi / (2 * n)) for i in range(1, n + 1))
-        eps = math.sqrt(10.0 ** (spec.ripple_db / 10.0) - 1.0)
+        eps = math.sqrt(10.0 ** (_realized_ripple_db(spec.ripple_db) / 10.0) - 1.0)
         return cls(zero_omegas=zeros, edge_s11_mag=eps / math.sqrt(1.0 + eps * eps))
 
 
@@ -60,16 +61,17 @@ def cost(cm: CouplingMatrix, config: CostConfig) -> float:
     Raises NumericalError when a target frequency (a zero_omegas entry or
     edge_omega) is not finite, before any matrix is factored.
     """
-    targets = (*config.zero_omegas, config.edge_omega)
-    if not all(math.isfinite(w) for w in targets):
-        raise NumericalError(f"non-finite target frequency in {targets}")
+    omegas = np.array([*config.zero_omegas, config.edge_omega, -config.edge_omega])
+    if not np.all(np.isfinite(omegas)):
+        raise NumericalError(f"non-finite target frequency in {omegas[:-1]}")
+    s11 = _scattering(cm, 1j * omegas)[:, 0, 0]
+    # Term by term, in a fixed order: np.sum's pairwise order would change
+    # the last bits.
     total = 0.0
-    for z in config.zero_omegas:
-        s11, _ = s_parameters(cm, 1j * z)
-        total += abs(s11) ** 2
-    for sign in (1.0, -1.0):
-        s11, _ = s_parameters(cm, 1j * sign * config.edge_omega)
-        total += (abs(s11) - config.edge_s11_mag) ** 2
+    for value in s11[:-2]:
+        total += abs(value) ** 2
+    for value in s11[-2:]:
+        total += (abs(value) - config.edge_s11_mag) ** 2
     return total
 
 

@@ -14,6 +14,14 @@ from dataclasses import dataclass
 
 from .errors import InvalidSpecError
 
+# The classical rounding of 40 / ln 10 = 17.3718, kept as the design constant.
+_RIPPLE_CONSTANT = 17.37
+
+
+def _realized_ripple_db(ripple_db: float) -> float:
+    """The ripple chebyshev_g_values realizes when asked for ripple_db."""
+    return ripple_db * (40.0 / math.log(10.0)) / _RIPPLE_CONSTANT
+
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -121,7 +129,7 @@ def chebyshev_g_values(order: int, ripple_db: float) -> LowpassPrototype:
         raise InvalidSpecError(f"ripple_db must be positive, got {ripple_db}")
     n = int(order)
 
-    beta = math.log(1.0 / math.tanh(ripple_db / 17.37))
+    beta = math.log(1.0 / math.tanh(ripple_db / _RIPPLE_CONSTANT))
     gamma = math.sinh(beta / (2 * n))
 
     g = [1.0, 2.0 * math.sin(math.pi / (2 * n)) / gamma]

@@ -1,8 +1,11 @@
 """S-parameter evaluation and response metrics for coupled-resonator filters.
 
-Two independent routes compute the same scattering parameters: a dense LU
-solve of the filter matrix, and an explicit determinant/cofactor route.
-The second is slower and exists to cross-validate the first.
+One kernel computes every S-parameter: it builds A(s) over an array of
+complex frequencies, solves once against both port unit vectors and
+applies one singularity guard. s_parameters and s_matrix are its one-point
+case; the sweeps and the optimizer cost are batched calls.
+s_parameters_cramer, a determinant/cofactor route, is the slower reference
+the kernel is checked against, under the same guard.
 """
 
 from __future__ import annotations
@@ -80,26 +83,58 @@ class ResponseMetrics:
             raise InvalidSpecError("bandwidth cannot be negative")
 
 
+def _scattering(cm: CouplingMatrix, s) -> np.ndarray:
+    """The 2x2 block [[S11, S12], [S21, S22]] at every point of s.
+
+    One LU solve of A(s) against both port unit vectors gives the port
+    rows x of inv(A); S = I - 2 x / qe on the diagonal and
+    2 x / sqrt(qe1 qen) off it. The result has shape s.shape + (2, 2).
+    """
+    s = np.asarray(s, dtype=complex)
+    a = system_matrix(cm, s)
+    rhs = np.zeros((cm.n, 2), dtype=complex)
+    rhs[0, 0] = rhs[-1, 1] = 1.0
+    try:
+        x = np.linalg.solve(a, np.broadcast_to(rhs, a.shape[:-1] + (2,)))[..., [0, -1], :]
+    except np.linalg.LinAlgError as err:
+        where = s if s.ndim == 0 else "a grid point"
+        raise SingularFrequencyError(f"filter matrix singular at s = {where}") from err
+    c = 2.0 / math.sqrt(cm.qe1 * cm.qen)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = np.array([[-2.0 / cm.qe1, c], [c, -2.0 / cm.qen]]) * x
+        out[..., [0, 1], [0, 1]] += 1.0
+        _guard(cm, s, a, x, out)
+    return out
+
+
+def _guard(cm: CouplingMatrix, s, a, x_port, values) -> None:
+    """The one singularity test of every route.
+
+    x_port holds entries of inv(A), so max|A_ij| * max|x_port| is a lower
+    bound on cond2(A); a point is singular where it passes _COND_LIMIT or
+    where an S-parameter is not finite (2 / qe overflows for a denormal
+    qe). max|A_ij| comes from the diagonal of A and the off-diagonal
+    couplings, without forming |A|. Callers silence the warnings.
+    """
+    diag = np.arange(cm.n)
+    off = np.abs(cm.m - np.diag(np.diag(cm.m))).max()
+    a_max = np.maximum(np.abs(a[..., diag, diag]).max(axis=-1), off)
+    ok = (a_max[..., None, None] * np.abs(x_port) <= _COND_LIMIT) & np.isfinite(values)
+    if not ok.all():
+        bad = ~ok.all(axis=(-2, -1))
+        raise SingularFrequencyError(f"filter matrix singular at s = {s[bad][0]}")
+
+
 def s_parameters(cm: CouplingMatrix, s: complex) -> tuple[complex, complex]:
     """Reflection and transmission at one complex prototype frequency.
 
     S11 = 1 - (2 / qe1) inv(A)[1,1] and
     S21 = 2 / sqrt(qe1 qen) * inv(A)[n,1],
-    both taken from one LU solve against the first unit vector. The sign
-    convention makes a fully uncoupled network reflect with S11 = -1.
+    the one-point case of the port-solve kernel. The sign convention makes
+    a fully uncoupled network reflect with S11 = -1.
     """
-    a = system_matrix(cm, s)
-    try:
-        if np.linalg.cond(a) > _COND_LIMIT:
-            raise SingularFrequencyError(f"filter matrix ill-conditioned at s = {s}")
-        rhs = np.zeros(cm.n, dtype=complex)
-        rhs[0] = 1.0
-        x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as err:
-        raise SingularFrequencyError(f"filter matrix singular at s = {s}") from err
-    s11 = 1.0 - (2.0 / cm.qe1) * x[0]
-    s21 = (2.0 / math.sqrt(cm.qe1 * cm.qen)) * x[-1]
-    return s11, s21
+    sm = _scattering(cm, s)
+    return sm[0, 0], sm[1, 0]
 
 
 def s_parameters_cramer(cm: CouplingMatrix, s: complex) -> tuple[complex, complex]:
@@ -107,53 +142,28 @@ def s_parameters_cramer(cm: CouplingMatrix, s: complex) -> tuple[complex, comple
 
     inv(A) = adj(A) / det(A); the two adjugate entries needed are the
     cofactors obtained by deleting the first row and the first (or last)
-    column and taking determinants. Cross-validation route only.
+    column and taking determinants. Cross-validation route only; it
+    applies the same singularity guard to cof / det.
     """
     a = system_matrix(cm, s)
     det = np.linalg.det(a)
-    # det(A) scales like ||A||^n, so the singularity floor must too.
-    if abs(det) < 1e-12 * (1.0 + np.linalg.norm(a)) ** cm.n:
-        raise SingularFrequencyError(f"determinant vanished at s = {s}")
-    cof11 = np.linalg.det(a[1:, 1:])
-    cof1n = (-1) ** (1 + cm.n) * np.linalg.det(a[1:, :-1])
-    s11 = 1.0 - (2.0 / cm.qe1) * cof11 / det
-    s21 = (2.0 / math.sqrt(cm.qe1 * cm.qen)) * cof1n / det
-    if not (np.isfinite(s11) and np.isfinite(s21)):
-        raise SingularFrequencyError(f"cofactor route overflowed at s = {s}")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cof11 = np.linalg.det(a[1:, 1:])
+        cof1n = (-1) ** (1 + cm.n) * np.linalg.det(a[1:, :-1])
+        x_port = np.array([[cof11], [cof1n]]) / det
+        s11 = 1.0 - (2.0 / cm.qe1) * x_port[0, 0]
+        s21 = (2.0 / math.sqrt(cm.qe1 * cm.qen)) * x_port[1, 0]
+        _guard(cm, np.asarray(s), a, x_port, np.array([[s11], [s21]]))
     return s11, s21
 
 
 def s_matrix(cm: CouplingMatrix, s: complex) -> np.ndarray:
     """Full 2x2 scattering matrix [[S11, S12], [S21, S22]].
 
-    Solves against both port unit vectors; S12 equals S21 to rounding
-    because the filter matrix is complex-symmetric (reciprocity).
+    The one-point case of the port-solve kernel; S12 equals S21 to
+    rounding because the filter matrix is complex-symmetric (reciprocity).
     """
-    a = system_matrix(cm, s)
-    rhs = np.zeros((cm.n, 2), dtype=complex)
-    rhs[0, 0] = 1.0
-    rhs[-1, 1] = 1.0
-    try:
-        x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as err:
-        raise SingularFrequencyError(f"filter matrix singular at s = {s}") from err
-    c = 2.0 / math.sqrt(cm.qe1 * cm.qen)
-    with np.errstate(invalid="ignore"):
-        out = np.array(
-            [
-                [1.0 - (2.0 / cm.qe1) * x[0, 0], c * x[0, 1]],
-                [c * x[-1, 0], 1.0 - (2.0 / cm.qen) * x[-1, 1]],
-            ]
-        )
-    _require_finite(out, f"at s = {s}")
-    return out
-
-
-def _require_finite(values: np.ndarray, where: str) -> None:
-    # A finite solve can still give a non-finite S-parameter: with a
-    # denormal qe, 2 / qe overflows and multiplies a zero, giving NaN.
-    if not np.all(np.isfinite(values)):
-        raise SingularFrequencyError(f"S-parameters not finite {where}")
+    return _scattering(cm, s)
 
 
 def normalized_frequency(f_hz, spec: FilterSpec):
@@ -185,32 +195,8 @@ def _sweep_arrays(cm, spec, f_start_hz, f_stop_hz, points):
     if not 0 < f_start_hz < f_stop_hz:
         raise InvalidSpecError("need 0 < f_start < f_stop")
     f = np.linspace(f_start_hz, f_stop_hz, int(points))
-    omega = normalized_frequency(f, spec)
-
-    base = (-1j) * cm.m.astype(complex)
-    base[0, 0] += 1.0 / cm.qe1
-    base[-1, -1] += 1.0 / cm.qen
-    a = base[None, :, :] + (1j * omega)[:, None, None] * np.eye(cm.n)
-
-    rhs = np.zeros((cm.n, 2), dtype=complex)
-    rhs[0, 0] = 1.0
-    rhs[-1, 1] = 1.0
-    try:
-        x = np.linalg.solve(a, np.broadcast_to(rhs, (f.size, cm.n, 2)))
-    except np.linalg.LinAlgError as err:
-        raise SingularFrequencyError("filter matrix singular on the sweep grid") from err
-    if not np.all(np.isfinite(x)):
-        raise SingularFrequencyError("filter matrix singular on the sweep grid")
-
-    c = 2.0 / math.sqrt(cm.qe1 * cm.qen)
-    with np.errstate(invalid="ignore"):
-        s11 = 1.0 - (2.0 / cm.qe1) * x[:, 0, 0]
-        s21 = c * x[:, -1, 0]
-        s12 = c * x[:, 0, 1]
-        s22 = 1.0 - (2.0 / cm.qen) * x[:, -1, 1]
-    for sp in (s11, s21, s12, s22):
-        _require_finite(sp, "on the sweep grid")
-    return f, s11, s21, s12, s22
+    sm = _scattering(cm, 1j * normalized_frequency(f, spec))
+    return f, sm[:, 0, 0], sm[:, 1, 0], sm[:, 0, 1], sm[:, 1, 1]
 
 
 def sweep(

@@ -36,6 +36,48 @@ def test_cost_nearly_zero_at_exact_solution(cm4, config4):
     assert 0.0 <= rn.cost(cm4, config4) <= 1e-6
 
 
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_cost_is_the_point_formula_bit_for_bit(order):
+    # Reference: one s_parameters call per target, summed in the order cost uses.
+    spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+    cm0 = rn.synthesize_design(spec).matrix
+    config = rn.CostConfig.from_spec(spec)
+    for seed in range(5):
+        problem = perturbed_problem(cm0, spec, config, seed=seed, amount=0.05)
+        cm = problem.initial
+        expected = 0.0
+        for z in config.zero_omegas:
+            s11, _ = rn.s_parameters(cm, 1j * z)
+            expected += abs(s11) ** 2
+        for sign in (1.0, -1.0):
+            s11, _ = rn.s_parameters(cm, 1j * sign * config.edge_omega)
+            expected += (abs(s11) - config.edge_s11_mag) ** 2
+        assert rn.cost(cm, config) == expected
+
+
+@pytest.mark.parametrize("ripple_db", [0.04321, 0.5])
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_synthesized_matrix_costs_zero(order, ripple_db):
+    # The edge target is the ripple the prototype realizes, not the one asked for.
+    spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=ripple_db)
+    design = rn.synthesize_design(spec)
+    assert rn.cost(design.matrix, rn.CostConfig.from_spec(spec)) < 1e-20
+
+
+def test_optimize_from_exact_design_takes_no_step():
+    spec = rn.FilterSpec(order=4, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.5)
+    cm = rn.synthesize_design(spec).matrix
+    problem = rn.OptimizationProblem(
+        initial=cm,
+        spec=spec,
+        free_parameters=rn.ladder_free_parameters(4),
+        cost_config=rn.CostConfig.from_spec(spec),
+    )
+    result = rn.optimize(problem)
+    assert result.iterations == 0
+    assert np.array_equal(result.final.m, cm.m)
+
+
 def test_cost_detects_detuning(cm4, config4):
     m = np.array(cm4.m)
     m[0, 1] *= 1.10

@@ -69,12 +69,23 @@ def test_energy_conservation_random(random_lossless):
 def test_cramer_agrees_with_inverse(random_lossless):
     rng = np.random.default_rng(12)
     for _ in range(200):
-        cm = random_lossless(rng)
+        cm = random_lossless(rng, rng.integers(2, 21))
         s = 1j * rng.uniform(-5, 5)
         a11, a21 = rn.s_parameters(cm, s)
         b11, b21 = rn.s_parameters_cramer(cm, s)
         assert abs(a11 - b11) <= 1e-9 * max(abs(a11), abs(b11), 1e-6)
         assert abs(a21 - b21) <= 1e-9 * max(abs(a21), abs(b21), 1e-6)
+
+
+@pytest.mark.parametrize("order", [14, 16, 20])
+def test_cramer_agrees_at_high_order(order):
+    # Healthy Chebyshev matrices: well conditioned at s = 0.5j.
+    spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+    cm = rn.synthesize_design(spec).matrix
+    a11, a21 = rn.s_parameters(cm, 0.5j)
+    b11, b21 = rn.s_parameters_cramer(cm, 0.5j)
+    assert abs(a11 - b11) <= 1e-9 * max(abs(a11), abs(b11))
+    assert abs(a21 - b21) <= 1e-9 * max(abs(a21), abs(b21))
 
 
 def test_cramer_hand_case():
@@ -163,6 +174,14 @@ def test_sweep_two_port_consistency(cm4, xband4):
     assert np.max(np.abs(s22)) <= 1 + 1e-9
     # lossless two-port: each column of S has unit norm
     assert np.max(np.abs(np.abs(s22) ** 2 + np.abs(s12) ** 2 - 1)) < 1e-10
+
+
+def test_sweep_two_port_is_s_matrix_on_the_grid(cm4, xband4):
+    resp, s12, s22 = rn.sweep_two_port(cm4, xband4, 9.5e9, 10.5e9, 101)
+    omega = rn.normalized_frequency(resp.grid, xband4)
+    for i, w in enumerate(omega):
+        sm = rn.s_matrix(cm4, 1j * w)
+        assert (sm[0, 0], sm[0, 1], sm[1, 0], sm[1, 1]) == (resp.s11[i], s12[i], resp.s21[i], s22[i])
 
 
 def test_response_validation_rejects_bad_grids():
