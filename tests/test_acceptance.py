@@ -300,10 +300,11 @@ def test_criterion_11_io_round_trips_and_exit_codes(tmp_path):
     record["matrix"]["qe1"] = 5e-324
     sick_path = tmp_path / "sick.json"
     sick_path.write_text(json.dumps(record))
-    assert main([
-        "sweep", "--design", str(sick_path),
-        "--f-start", "9", "--f-stop", "11", "--points", "11",
-        "--format", "csv", "--out", str(tmp_path / "sick.csv"),
-    ]) == 6
+    for points in ("11", "1001"):  # the LU and the pole-residue sweep sizes
+        assert main([
+            "sweep", "--design", str(sick_path),
+            "--f-start", "9", "--f-stop", "11", "--points", points,
+            "--format", "csv", "--out", str(tmp_path / "sick.csv"),
+        ]) == 6
 
     ok(11, "design and Touchstone round trips lossless; exit codes 0/2/3/4/5/6 verified")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import resonet as rn
 from resonet.errors import (
@@ -120,8 +122,17 @@ def test_denormal_qe_raises_on_point_and_swept_routes(xband4):
         rn.s_matrix(cm, 0.5j)
     with pytest.raises(SingularFrequencyError):
         rn.s_parameters(cm, 0.5j)
-    with pytest.raises(SingularFrequencyError):
-        rn.sweep_two_port(cm, xband4, 9e9, 11e9, 11)
+    for points in (11, 1001):  # the LU and the residue sizes
+        with pytest.raises(SingularFrequencyError):
+            rn.sweep_two_port(cm, xband4, 9e9, 11e9, points)
+
+
+@pytest.mark.parametrize("points", [3, 1001])  # the LU and the residue sizes
+def test_exactly_singular_grid_point_is_named(points, xband4):
+    # an uncoupled middle resonator: A(0) has an exactly zero diagonal entry
+    cm = rn.CouplingMatrix(m=np.zeros((3, 3)), qe1=1.0, qen=1.0)
+    with pytest.raises(SingularFrequencyError, match=r"at s = 0j$"):
+        rn.sweep_two_port(cm, xband4, 9e9, 11e9, points)
 
 
 def test_mapping_fixed_point_and_monotonicity(xband4):
@@ -176,12 +187,72 @@ def test_sweep_two_port_consistency(cm4, xband4):
     assert np.max(np.abs(np.abs(s22) ** 2 + np.abs(s12) ** 2 - 1)) < 1e-10
 
 
+def point_s_matrices(cm, resp, spec):
+    omega = rn.normalized_frequency(resp.grid, spec)
+    return np.array([rn.s_matrix(cm, 1j * w) for w in omega])
+
+
+def swept_s_matrices(resp, s12, s22):
+    return np.stack([resp.s11, s12, resp.s21, s22], axis=-1).reshape(-1, 2, 2)
+
+
 def test_sweep_two_port_is_s_matrix_on_the_grid(cm4, xband4):
+    # 11 points at n = 4 take the LU path, bit for bit the point route
+    resp, s12, s22 = rn.sweep_two_port(cm4, xband4, 9.5e9, 10.5e9, 11)
+    assert np.array_equal(swept_s_matrices(resp, s12, s22), point_s_matrices(cm4, resp, xband4))
+    # 101 points take the pole-residue path: equal to rounding
     resp, s12, s22 = rn.sweep_two_port(cm4, xband4, 9.5e9, 10.5e9, 101)
-    omega = rn.normalized_frequency(resp.grid, xband4)
-    for i, w in enumerate(omega):
-        sm = rn.s_matrix(cm4, 1j * w)
-        assert (sm[0, 0], sm[0, 1], sm[1, 0], sm[1, 1]) == (resp.s11[i], s12[i], resp.s21[i], s22[i])
+    diff = swept_s_matrices(resp, s12, s22) - point_s_matrices(cm4, resp, xband4)
+    assert np.abs(diff).max() <= 1e-13
+
+
+@pytest.mark.parametrize("m12", [0.5, 0.5 + 1e-9])
+def test_sweep_near_exceptional_point_matches_point_route(m12, xband4):
+    # M = [[-2, j m12], [j m12, -1]] has a double, defective pole at -1.5
+    # for m12 = 0.5; its eigenvectors are ill-conditioned (cond ~ 3e4 at
+    # 0.5 + 1e-9), where pole residues lose ~1e-11 and the sweep uses LU.
+    cm = rn.CouplingMatrix(m=np.array([[0.0, m12], [m12, 0.0]]), qe1=0.5, qen=1.0)
+    resp, s12, s22 = rn.sweep_two_port(cm, xband4, 9e9, 11e9, 1001)
+    diff = swept_s_matrices(resp, s12, s22) - point_s_matrices(cm, resp, xband4)
+    assert np.abs(diff).max() <= 1e-12
+
+
+@st.composite
+def lossless_sweeps(draw):
+    """A random lossless matrix of order 2 to 20 and a grid of more than
+    4 n points spanning prototype omega -3 to 3."""
+    n = draw(st.integers(min_value=2, max_value=20))
+    entries = st.floats(min_value=-3.0, max_value=3.0)
+    upper = draw(st.lists(entries, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    m = np.zeros((n, n))
+    m[np.triu_indices(n)] = upper
+    m = m + np.triu(m, 1).T
+    qe1, qen = draw(st.tuples(*[st.floats(min_value=0.2, max_value=5.0)] * 2))
+    points = draw(st.integers(min_value=4 * n + 1, max_value=4 * n + 200))
+    return rn.CouplingMatrix(m=m, qe1=qe1, qen=qen), points
+
+
+@settings(deadline=None)
+@given(lossless_sweeps())
+def test_sweep_agrees_with_lu_and_cramer(case):
+    cm, points = case
+    spec = rn.FilterSpec(order=cm.n, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+    root = math.sqrt(1.0 + (3.0 * spec.fbw / 2.0) ** 2)  # omega = -+3, as in band_edge_frequencies
+    f_lo, f_hi = spec.f0_hz * (root - 3.0 * spec.fbw / 2.0), spec.f0_hz * (root + 3.0 * spec.fbw / 2.0)
+    omega = rn.normalized_frequency(np.linspace(f_lo, f_hi, points), spec)
+    try:
+        ref = np.array([rn.s_matrix(cm, 1j * w) for w in omega])
+    except SingularFrequencyError:
+        assume(False)
+    resp, s12, s22 = rn.sweep_two_port(cm, spec, f_lo, f_hi, points)
+    got = swept_s_matrices(resp, s12, s22)
+    # relative to max |S_pq|, which is >= 1/sqrt(2) for a unitary S
+    scale = np.abs(ref).max(axis=(1, 2))
+    assert np.all(np.abs(got - ref).max(axis=(1, 2)) <= 1e-9 * scale)
+    for i in (0, points // 2, points - 1):
+        s11, s21 = rn.s_parameters_cramer(cm, 1j * omega[i])
+        assert max(abs(s11 - got[i, 0, 0]), abs(s21 - got[i, 1, 0])) <= 1e-9 * scale[i]
+    assert np.abs(np.abs(resp.s11) ** 2 + np.abs(resp.s21) ** 2 - 1.0).max() <= 1e-10
 
 
 def test_response_validation_rejects_bad_grids():
