@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import tempfile
 
@@ -23,3 +25,8 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def is_whole(value, least: int) -> bool:
+    """True for a finite real number >= least with no fractional part."""
+    return isinstance(value, numbers.Real) and math.isfinite(value) and least <= value == int(value)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -16,8 +17,12 @@ import numpy as np
 
 from ._version import __version__
 from .designfile import (
+    _INTEGER,
+    _LISTS,
+    _NUMBER,
     DesignFile,
     _read_json,
+    _require,
     bundled_design_names,
     bundled_filter_spec,
     load_design,
@@ -40,6 +45,9 @@ from .extraction import PeakPair, extract_k, extract_qe, find_peaks
 from .optimizer import (
     CostConfig,
     OptimizationProblem,
+    _matrix,
+    _positions,
+    _vector,
     ladder_free_parameters,
     optimize,
 )
@@ -136,7 +144,6 @@ def _peak_amplitudes(resp, freqs) -> np.ndarray:
 
 def _cmd_extract(args) -> int:
     resp = read_response(args.response)
-    unit, scale = ("GHz", 1e9) if resp.domain == "bandpass" else ("", 1.0)
     if args.mode == "k":
         freqs = find_peaks(resp, expected=2)
         if freqs.size > 2:
@@ -144,35 +151,37 @@ def _cmd_extract(args) -> int:
             freqs = np.sort(freqs[best])
         pair = PeakPair(f_p1=float(freqs[0]), f_p2=float(freqs[1]))
         k = extract_k(pair)
-        print(f"resonance peaks: f_p1 = {pair.f_p1 / scale:.6f} {unit}, "
-              f"f_p2 = {pair.f_p2 / scale:.6f} {unit}")
+        print(f"resonance peaks: f_p1 = {pair.f_p1 / 1e9:.6f} GHz, f_p2 = {pair.f_p2 / 1e9:.6f} GHz")
         print(f"coupling coefficient k = {k:.6f}")
     else:
         freqs = find_peaks(resp, expected=1)
         f_peak = float(freqs[int(np.argmax(_peak_amplitudes(resp, freqs)))])
         qe = extract_qe(resp, f_peak)
-        print(f"resonance peak: f0 = {f_peak / scale:.6f} {unit}")
+        print(f"resonance peak: f0 = {f_peak / 1e9:.6f} GHz")
         print(f"external quality factor Qe = {qe:.3f}")
     return EXIT_OK
 
 
+def _option(config: dict, key: str, kind, default):
+    return _require(config, key, "optimizer config", kind) if key in config else default
+
+
 def _resolve_seed(config: dict):
     if "seed" in config:
-        return int(config["seed"])
+        return _require(config, "seed", "optimizer config", _INTEGER)
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else None
+    try:
+        return int(env) if env else None
+    except ValueError:
+        raise InvalidSpecError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _cmd_optimize(args) -> int:
     design = load_design(args.design)
     config = _read_json(args.config) if args.config else {}
 
-    free = config.get("free_parameters")
-    free_keys = (
-        tuple(tuple(k) for k in free)
-        if free
-        else ladder_free_parameters(design.matrix.n)
-    )
+    free = _option(config, "free_parameters", _LISTS, None)
+    free_keys = tuple(map(tuple, free)) if free else ladder_free_parameters(design.matrix.n)
     problem = OptimizationProblem(
         initial=design.matrix,
         spec=design.spec,
@@ -181,34 +190,24 @@ def _cmd_optimize(args) -> int:
         allow_cross_couplings=bool(config.get("allow_cross_couplings", False)),
     )
 
-    perturb = config.get("perturb")
+    perturb = _option(config, "perturb", _NUMBER, None)
     if perturb:
+        if not 0 < perturb < math.inf:
+            raise InvalidSpecError(f"perturb must be positive and finite, got {perturb}")
         rng = np.random.default_rng(_resolve_seed(config))
-        m = np.array(design.matrix.m)
-        qe1, qen = design.matrix.qe1, design.matrix.qen
+        n = design.matrix.n
+        p = _vector(design.matrix)
         for key in problem.free_parameters:
-            factor = 1.0 + rng.uniform(-perturb, perturb)
-            if key == ("qe1",):
-                qe1 *= factor
-            elif key == ("qen",):
-                qen *= factor
-            else:
-                i, j = key[1] - 1, key[2] - 1
-                m[i, j] *= factor
-                m[j, i] = m[i, j]
-        from .coupling import CouplingMatrix
-
-        problem = dataclasses.replace(
-            problem, initial=CouplingMatrix(m=m, qe1=qe1, qen=qen)
-        )
+            p[_positions(key, n)] *= 1.0 + rng.uniform(-perturb, perturb)
+        problem = dataclasses.replace(problem, initial=_matrix(p, n))
         print(f"perturbed {len(problem.free_parameters)} free parameter(s) by up to "
               f"{perturb * 100:g}%")
 
     result = optimize(
         problem,
-        max_iter=config.get("max_iter", 2000),
-        tol=config.get("tol", 1e-10),
-        step_floor=config.get("step_floor", 1e-9),
+        max_iter=_option(config, "max_iter", _NUMBER, 2000),
+        tol=_option(config, "tol", _NUMBER, 1e-10),
+        step_floor=_option(config, "step_floor", _NUMBER, 1e-9),
         method=config.get("method", "sweep"),
         on_iteration=lambda i, c, s: print(f"iter {i:5d}  cost {c:.6e}  max_step {s:.3e}"),
     )
@@ -256,14 +255,9 @@ def _cmd_waveguide(args) -> int:
 def _cmd_analyze(args) -> int:
     resp = read_response(args.response)
     metrics = analyze_response(resp, args.level_db)
-    if resp.domain == "bandpass":
-        print(f"passband at |S11| <= {args.level_db:g} dB:")
-        print(f"  center frequency:  {metrics.f_center / 1e9:.6f} GHz")
-        print(f"  bandwidth:         {metrics.bandwidth_at_level / 1e6:.3f} MHz")
-    else:
-        print(f"passband at |S11| <= {args.level_db:g} dB:")
-        print(f"  center:    {metrics.f_center:.6f}")
-        print(f"  bandwidth: {metrics.bandwidth_at_level:.6f}")
+    print(f"passband at |S11| <= {args.level_db:g} dB:")
+    print(f"  center frequency:  {metrics.f_center / 1e9:.6f} GHz")
+    print(f"  bandwidth:         {metrics.bandwidth_at_level / 1e6:.3f} MHz")
     print(f"  max in-band |S11|: {metrics.max_inband_s11_db:.3f} dB")
     print(f"  reflection zeros:  {metrics.reflection_zero_count}")
     return EXIT_OK

@@ -99,43 +99,66 @@ def design_to_dict(design: DesignFile) -> dict:
     return out
 
 
-def _require(record: dict, key: str, where: str):
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_rows(value, width=None) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(row, list) and len(row) == (width or len(value[0])) and all(map(_is_number, row))
+        for row in value
+    )
+
+
+# What a checked read can demand of a JSON value: a test and its name.
+_NUMBER = (_is_number, "a number")
+_INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_LISTS = (lambda v: isinstance(v, list) and all(isinstance(k, list) for k in v), "a list of lists")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_NUMBERS = (lambda v: _is_rows([v]), "a list of numbers")
+_ROWS = (_is_rows, "a list of equal-length rows of numbers")
+_PAIRS = (lambda v: _is_rows(v, width=2), "a list of [re, im] pairs")
+
+
+def _require(record: dict, key: str, where: str, kind=None):
     if key not in record:
         raise ParseError(f"{where}: missing key {key!r}")
-    return record[key]
+    value = record[key]
+    if kind is not None and not kind[0](value):
+        raise ParseError(f"{where}: {key!r} must be {kind[1]}, got {value!r}")
+    return value
 
 
 def design_from_dict(data: dict) -> DesignFile:
-    spec_rec = _require(data, "spec", "design file")
+    spec_rec = _require(data, "spec", "design file", _OBJECT)
     spec = FilterSpec(
-        order=_require(spec_rec, "order", "design spec"),
-        f0_hz=_require(spec_rec, "f0_hz", "design spec"),
-        bandwidth_hz=_require(spec_rec, "bandwidth_hz", "design spec"),
-        ripple_db=_require(spec_rec, "ripple_db", "design spec"),
+        order=_require(spec_rec, "order", "design spec", _NUMBER),
+        f0_hz=_require(spec_rec, "f0_hz", "design spec", _NUMBER),
+        bandwidth_hz=_require(spec_rec, "bandwidth_hz", "design spec", _NUMBER),
+        ripple_db=_require(spec_rec, "ripple_db", "design spec", _NUMBER),
     )
-    prototype = LowpassPrototype(
-        g=tuple(_require(_require(data, "prototype", "design file"), "g", "prototype"))
-    )
-    targets_rec = _require(data, "targets", "design file")
+    prototype_rec = _require(data, "prototype", "design file", _OBJECT)
+    prototype = LowpassPrototype(g=tuple(_require(prototype_rec, "g", "prototype", _NUMBERS)))
+    targets_rec = _require(data, "targets", "design file", _OBJECT)
     targets = CouplingTargets(
-        qe_in=_require(targets_rec, "qe_in", "targets"),
-        qe_out=_require(targets_rec, "qe_out", "targets"),
-        k=tuple(_require(targets_rec, "k", "targets")),
+        qe_in=_require(targets_rec, "qe_in", "targets", _NUMBER),
+        qe_out=_require(targets_rec, "qe_out", "targets", _NUMBER),
+        k=tuple(_require(targets_rec, "k", "targets", _NUMBERS)),
     )
-    matrix_rec = _require(data, "matrix", "design file")
+    matrix_rec = _require(data, "matrix", "design file", _OBJECT)
     matrix = CouplingMatrix(
-        m=_require(matrix_rec, "m", "matrix"),
-        qe1=_require(matrix_rec, "qe1", "matrix"),
-        qen=_require(matrix_rec, "qen", "matrix"),
+        m=_require(matrix_rec, "m", "matrix", _ROWS),
+        qe1=_require(matrix_rec, "qe1", "matrix", _NUMBER),
+        qen=_require(matrix_rec, "qen", "matrix", _NUMBER),
     )
     polynomials = None
     if "polynomials" in data:
-        rec = data["polynomials"]
+        rec = _require(data, "polynomials", "design file", _OBJECT)
         polynomials = CharacteristicPolynomials(
-            e_roots=_pairs_to_roots(_require(rec, "e_roots", "polynomials")),
-            f_roots=_pairs_to_roots(_require(rec, "f_roots", "polynomials")),
-            p_roots=_pairs_to_roots(_require(rec, "p_roots", "polynomials")),
-            epsilon=_require(rec, "epsilon", "polynomials"),
+            e_roots=_pairs_to_roots(_require(rec, "e_roots", "polynomials", _PAIRS)),
+            f_roots=_pairs_to_roots(_require(rec, "f_roots", "polynomials", _PAIRS)),
+            p_roots=_pairs_to_roots(_require(rec, "p_roots", "polynomials", _PAIRS)),
+            epsilon=_require(rec, "epsilon", "polynomials", _NUMBER),
         )
     return DesignFile(
         spec=spec,
@@ -175,13 +198,13 @@ def load_filter_config(path) -> FilterSpec:
 
 
 def filter_spec_from_config(data: dict, where: str = "config") -> FilterSpec:
-    order = _require(data, "order", where)
-    f0_hz = _require(data, "f0_hz", where)
-    ripple_db = _require(data, "ripple_db", where)
+    order = _require(data, "order", where, _NUMBER)
+    f0_hz = _require(data, "f0_hz", where, _NUMBER)
+    ripple_db = _require(data, "ripple_db", where, _NUMBER)
     if "bandwidth_hz" in data:
-        bandwidth_hz = data["bandwidth_hz"]
+        bandwidth_hz = _require(data, "bandwidth_hz", where, _NUMBER)
     elif "fbw" in data:
-        bandwidth_hz = data["fbw"] * f0_hz
+        bandwidth_hz = _require(data, "fbw", where, _NUMBER) * f0_hz
     else:
         raise ParseError(f"{where}: missing key 'bandwidth_hz' (or 'fbw')")
     return FilterSpec(order=order, f0_hz=f0_hz, bandwidth_hz=bandwidth_hz, ripple_db=ripple_db)

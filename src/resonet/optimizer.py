@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._util import is_whole
 from .coupling import CouplingMatrix
 from .errors import InvalidSpecError, NumericalError
 from .prototype import FilterSpec, _realized_ripple_db
@@ -86,16 +87,12 @@ def ladder_free_parameters(order: int, include_qe: bool = False) -> tuple[ParamK
 def _normalize_key(key, n: int, allow_cross: bool) -> ParamKey:
     if key in (("qe1",), ("qen",)):
         return key
-    if len(key) == 3 and key[0] == "m":
-        i, j = int(key[1]), int(key[2])
-        if i > j:
-            i, j = j, i
+    if len(key) == 3 and key[0] == "m" and all(is_whole(x, least=1) for x in key[1:]):
+        i, j = sorted((int(key[1]), int(key[2])))
         if not 1 <= i <= j <= n:
             raise InvalidSpecError(f"matrix position {key} outside order {n}")
         if not allow_cross and j - i > 1:
-            raise InvalidSpecError(
-                f"cross coupling {key} requires allow_cross_couplings=True"
-            )
+            raise InvalidSpecError(f"cross coupling {key} requires allow_cross_couplings=True")
         return ("m", i, j)
     raise InvalidSpecError(f"unknown free parameter {key!r}")
 
@@ -134,73 +131,46 @@ class OptimizationResult:
     converged: bool
 
 
-class _State:
-    def __init__(self, cm: CouplingMatrix):
-        self.m = np.array(cm.m, dtype=float)
-        self.qe1 = cm.qe1
-        self.qen = cm.qen
-
-    def get(self, key: ParamKey) -> float:
-        if key == ("qe1",):
-            return self.qe1
-        if key == ("qen",):
-            return self.qen
-        return self.m[key[1] - 1, key[2] - 1]
-
-    def set(self, key: ParamKey, value: float) -> None:
-        if key == ("qe1",):
-            self.qe1 = value
-        elif key == ("qen",):
-            self.qen = value
-        else:
-            self.m[key[1] - 1, key[2] - 1] = value
-            self.m[key[2] - 1, key[1] - 1] = value
-
-    def matrix(self) -> CouplingMatrix:
-        return CouplingMatrix(m=self.m, qe1=self.qe1, qen=self.qen)
+def _positions(key: ParamKey, n: int) -> list[int]:
+    """Where a normalized key lives in p = [*m.ravel(), qe1, qen]: an m key
+    at its own (i, j) entry first, then at the symmetric (j, i) one."""
+    if key[0] == "m":
+        i, j = key[1] - 1, key[2] - 1
+        return [i * n + j, j * n + i]
+    return [n * n if key == ("qe1",) else n * n + 1]
 
 
-def _mirror_key(key: ParamKey, n: int) -> ParamKey:
-    if key == ("qe1",):
-        return ("qen",)
-    if key == ("qen",):
-        return ("qe1",)
-    i, j = n + 1 - key[2], n + 1 - key[1]
-    return ("m", i, j)
+def _vector(cm: CouplingMatrix) -> np.ndarray:
+    return np.concatenate([cm.m.ravel(), [cm.qe1, cm.qen]])
 
 
-def _is_palindromic(problem: OptimizationProblem) -> bool:
-    cm = problem.initial
-    flipped = cm.m[::-1, ::-1].T
-    scale = max(np.abs(cm.m).max(), 1e-30)
-    if np.abs(cm.m - flipped).max() > _PALINDROME_RTOL * scale:
-        return False
-    if abs(cm.qe1 - cm.qen) > _PALINDROME_RTOL * max(cm.qe1, cm.qen):
-        return False
-    free = set(problem.free_parameters)
-    return all(_mirror_key(k, cm.n) in free for k in free)
+def _matrix(p: np.ndarray, n: int) -> CouplingMatrix:
+    return CouplingMatrix(m=p[:-2].reshape(n, n), qe1=float(p[-2]), qen=float(p[-1]))
 
 
-def _orbits(problem: OptimizationProblem) -> list[tuple[ParamKey, ...]]:
+def _orbits(positions: list[list[int]], p: np.ndarray, n: int) -> list[np.ndarray]:
     # For a palindromic problem, mirrored parameters move as one coordinate
     # so symmetry survives every intermediate iterate, not just the limit.
-    if not _is_palindromic(problem):
-        return [(key,) for key in problem.free_parameters]
-    n = problem.initial.n
-    orbits: list[tuple[ParamKey, ...]] = []
-    used: set[ParamKey] = set()
-    for key in problem.free_parameters:
-        if key in used:
-            continue
-        mirror = _mirror_key(key, n)
-        orbit = (key,) if mirror == key else (key, mirror)
-        used.update(orbit)
-        orbits.append(orbit)
+    # The mirror maps m[i, j] to m[n-1-j, n-1-i] and qe1 to qen.
+    flat = np.arange(n * n).reshape(n, n)
+    mirror = np.concatenate([flat[::-1, ::-1].T.ravel(), [n * n + 1, n * n]])
+    gap = np.abs(p - p[mirror])
+    free = {q for pos in positions for q in pos}
+    if (
+        gap[:-2].max() > _PALINDROME_RTOL * max(np.abs(p[:-2]).max(), 1e-30)
+        or gap[-1] > _PALINDROME_RTOL * p[-2:].max()
+        or not free.issuperset(mirror[list(free)])
+    ):
+        return [np.array(pos) for pos in positions]
+    orbits: list[np.ndarray] = []
+    for pos in positions:
+        if not any(pos[0] in orbit for orbit in orbits):
+            orbits.append(np.array(pos + [q for q in mirror[pos] if q not in pos]))
     return orbits
 
 
-def _checked_cost(state: _State, config: CostConfig) -> float:
-    value = cost(state.matrix(), config)
+def _checked_cost(p: np.ndarray, n: int, config: CostConfig) -> float:
+    value = cost(_matrix(p, n), config)
     if math.isnan(value):
         raise NumericalError("cost evaluated to NaN")
     return value
@@ -224,6 +194,10 @@ def optimize(
     relative step floor; exhausting max_iter returns converged=False
     rather than raising. Identical problems give bit-identical results.
 
+    A palindromic problem (mirror-symmetric start and free set) moves each
+    mirrored pair as one coordinate, so every iterate stays symmetric; if
+    that stalls above tol, descent goes on per coordinate with fresh steps.
+
     "nelder-mead" delegates to the scipy simplex implementation as a
     fallback for awkward landscapes; it shares the cost and convergence
     thresholds but not the per-sweep monotonicity guarantee.
@@ -231,39 +205,36 @@ def optimize(
     on_iteration, when given, is called after each sweep with
     (iteration, cost, max_step).
     """
-    if int(max_iter) != max_iter or max_iter < 1:
+    if not is_whole(max_iter, least=1):
         raise InvalidSpecError(f"max_iter must be an integer >= 1, got {max_iter}")
     if method not in ("sweep", "nelder-mead"):
         raise InvalidSpecError(f"unknown method {method!r}")
 
-    state = _State(problem.initial)
-    orbits = _orbits(problem)
-    current = _checked_cost(state, problem.cost_config)
+    n = problem.initial.n
+    p = _vector(problem.initial)
+    positions = [_positions(key, n) for key in problem.free_parameters]
+    orbits = _orbits(positions, p, n)
+    current = _checked_cost(p, n, problem.cost_config)
 
     if method == "nelder-mead":
-        return _optimize_nelder_mead(problem, state, orbits, current, max_iter, tol, step_floor)
+        return _optimize_nelder_mead(problem, p, orbits, current, max_iter, tol, step_floor)
 
-    steps = [
-        initial_step * abs(state.get(orbit[0])) or 0.01 for orbit in orbits
-    ]
+    steps = [initial_step * abs(p[orbit[0]]) or 0.01 for orbit in orbits]
     iterations = 0
     converged = current <= tol
     while not converged and iterations < max_iter:
         iterations += 1
         improved = False
         for oi, orbit in enumerate(orbits):
-            old = state.get(orbit[0])
+            old = p[orbit[0]]
             for sign in (1.0, -1.0):
-                candidate = old + sign * steps[oi]
-                for key in orbit:
-                    state.set(key, candidate)
-                trial = _checked_cost(state, problem.cost_config)
+                p[orbit] = old + sign * steps[oi]
+                trial = _checked_cost(p, n, problem.cost_config)
                 if trial < current:
                     current = trial
                     improved = True
                     break
-                for key in orbit:
-                    state.set(key, old)
+                p[orbit] = old
         if on_iteration is not None:
             on_iteration(iterations, current, max(steps))
         if current <= tol:
@@ -271,32 +242,32 @@ def optimize(
             break
         if not improved:
             steps = [st / 2.0 for st in steps]
-            floors = [
-                step_floor * max(1.0, abs(state.get(orbit[0])))
-                for orbit in orbits
-            ]
-            if all(st < fl for st, fl in zip(steps, floors)):
-                converged = True
-                break
+            if all(st < step_floor * max(1.0, abs(p[orbit[0]])) for st, orbit in zip(steps, orbits)):
+                if len(orbits) == len(positions):
+                    converged = True
+                    break
+                # The grouped descent stalled inside the mirror-symmetric
+                # subspace, which can be a saddle of the full space.
+                orbits = [np.array(pos) for pos in positions]
+                steps = [initial_step * abs(p[orbit[0]]) or 0.01 for orbit in orbits]
 
     return OptimizationResult(
-        final=state.matrix(),
+        final=_matrix(p, n),
         final_cost=current,
         iterations=iterations,
         converged=converged,
     )
 
 
-def _optimize_nelder_mead(problem, state, orbits, initial_cost, max_iter, tol, step_floor):
+def _optimize_nelder_mead(problem, p, orbits, initial_cost, max_iter, tol, step_floor):
     from scipy.optimize import minimize
 
     def fun(x: Sequence[float]) -> float:
         for orbit, value in zip(orbits, x):
-            for key in orbit:
-                state.set(key, value)
-        return _checked_cost(state, problem.cost_config)
+            p[orbit] = value
+        return _checked_cost(p, problem.initial.n, problem.cost_config)
 
-    x0 = np.array([state.get(orbit[0]) for orbit in orbits])
+    x0 = np.array([p[orbit[0]] for orbit in orbits])
     res = minimize(
         fun,
         x0,
@@ -309,7 +280,7 @@ def _optimize_nelder_mead(problem, state, orbits, initial_cost, max_iter, tol, s
     )
     final_cost = fun(res.x) if res.fun <= initial_cost else fun(x0)
     return OptimizationResult(
-        final=state.matrix(),
+        final=_matrix(p, problem.initial.n),
         final_cost=final_cost,
         iterations=int(res.nit),
         converged=bool(final_cost <= tol or res.success),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._util import is_whole
 from .errors import InvalidSpecError
 
 # The classical rounding of 40 / ln 10 = 17.3718, kept as the design constant.
@@ -40,17 +41,17 @@ class FilterSpec:
     ripple_db: float
 
     def __post_init__(self):
-        if int(self.order) != self.order or self.order < 2:
+        if not is_whole(self.order, least=2):
             raise InvalidSpecError(f"order must be an integer >= 2, got {self.order}")
         object.__setattr__(self, "order", int(self.order))
-        if not self.f0_hz > 0:
-            raise InvalidSpecError(f"f0_hz must be positive, got {self.f0_hz}")
+        if not 0 < self.f0_hz < math.inf:
+            raise InvalidSpecError(f"f0_hz must be positive and finite, got {self.f0_hz}")
         if not 0 < self.bandwidth_hz < self.f0_hz:
             raise InvalidSpecError(
                 f"bandwidth_hz must satisfy 0 < bandwidth < f0, got {self.bandwidth_hz}"
             )
-        if not self.ripple_db > 0:
-            raise InvalidSpecError(f"ripple_db must be positive, got {self.ripple_db}")
+        if not 0 < self.ripple_db < math.inf:
+            raise InvalidSpecError(f"ripple_db must be positive and finite, got {self.ripple_db}")
 
     @property
     def fbw(self) -> float:
@@ -123,10 +124,10 @@ def chebyshev_g_values(order: int, ripple_db: float) -> LowpassPrototype:
     L * (40 / ln 10) / 17.37 = 1.0001 L rather than L exactly, and its
     in-band reflection peaks at eps / sqrt(1 + eps^2) for that ripple.
     """
-    if int(order) != order or order < 1:
+    if not is_whole(order, least=1):
         raise InvalidSpecError(f"order must be an integer >= 1, got {order}")
-    if not ripple_db > 0:
-        raise InvalidSpecError(f"ripple_db must be positive, got {ripple_db}")
+    if not 0 < ripple_db < math.inf:
+        raise InvalidSpecError(f"ripple_db must be positive and finite, got {ripple_db}")
     n = int(order)
 
     beta = math.log(1.0 / math.tanh(ripple_db / _RIPPLE_CONSTANT))

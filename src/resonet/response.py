@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import is_whole
 from .coupling import CouplingMatrix, pole_matrix, system_matrix
 from .errors import InvalidSpecError, NoPassbandError, SingularFrequencyError
 from .prototype import FilterSpec
@@ -246,7 +247,7 @@ def band_edge_frequencies(spec: FilterSpec) -> tuple[float, float]:
 
 
 def _sweep_arrays(cm, spec, f_start_hz, f_stop_hz, points):
-    if int(points) != points or points < 2:
+    if not is_whole(points, least=2):
         raise InvalidSpecError(f"points must be an integer >= 2, got {points}")
     if not 0 < f_start_hz < f_stop_hz:
         raise InvalidSpecError("need 0 < f_start < f_stop")

@@ -252,3 +252,77 @@ def test_analyze_no_passband_exits_5(tmp_path, capsys):
     path = tmp_path / "flat.csv"
     rn.write_csv(path, resp)
     assert main(["analyze", "--response", str(path), "--level-db", "-20"]) == 5
+
+
+def test_optimize_perturbation_draws_one_factor_per_key_in_order(table2_design, tmp_path):
+    # tol 1.0 stops at iteration 0, so the written design is the perturbed start.
+    free = [["m", 1, 2], ["m", 2, 3], ["qe1"], ["qen"]]
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"perturb": 0.05, "seed": 7, "tol": 1.0, "free_parameters": free}))
+    out = tmp_path / "perturbed.json"
+    assert main(["optimize", "--design", str(table2_design), "--config", str(cfg), "--out", str(out)]) == 0
+    base = rn.load_design(table2_design).matrix
+    start = rn.load_design(out).matrix
+    f12, f23, f1, fn = 1.0 + np.random.default_rng(7).uniform(-0.05, 0.05, size=4)
+    m = np.array(base.m)
+    m[0, 1] = m[1, 0] = base.m[0, 1] * f12
+    m[1, 2] = m[2, 1] = base.m[1, 2] * f23
+    assert np.array_equal(start.m, m)
+    assert start.qe1 == base.qe1 * f1
+    assert start.qen == base.qen * fn
+
+
+@pytest.mark.parametrize(
+    "command, field, value, code",
+    [
+        ("synthesize", "order", "null", 2),
+        ("synthesize", "order", "NaN", 3),
+        ("synthesize", "f0_hz", '"10e9"', 2),
+        ("synthesize", "fbw", "null", 2),
+        ("synthesize", "ripple_db", "Infinity", 3),
+        ("sweep", "matrix.qe1", "null", 2),
+        ("sweep", "matrix.m", "[[0, 1], [1]]", 2),
+        ("sweep", "matrix", "null", 2),
+        ("sweep", "polynomials.e_roots", "[[1, 2, 3]]", 2),
+        ("optimize", "max_iter", "NaN", 3),
+        ("optimize", "tol", "null", 2),
+        ("optimize", "perturb", '"big"', 2),
+        ("optimize", "perturb", "NaN", 3),
+        ("optimize", "perturb", "-0.05", 3),
+        ("optimize", "free_parameters", "5", 2),
+        ("optimize", "free_parameters", "[5]", 2),
+        ("optimize", "free_parameters", '[["m", "a", 2]]', 3),
+        ("optimize", "seed", '"abc"', 2),
+    ],
+)
+def test_malformed_json_value_exits_2_or_3(table2_design, tmp_path, capsys, command, field, value, code):
+    path = tmp_path / "input.json"
+    if command == "synthesize":
+        record = {"order": 4, "f0_hz": 10e9, "fbw": 0.05, "ripple_db": 0.04321}
+        argv = ["synthesize", "--config", str(path), "--out", str(tmp_path / "d.json")]
+    elif command == "sweep":
+        record = json.loads(table2_design.read_text())
+        argv = ["sweep", "--design", str(path), "--f-start", "9", "--f-stop", "11",
+                "--out", str(tmp_path / "s.s2p")]
+    else:
+        record = {"perturb": 0.05, "seed": 1}
+        argv = ["optimize", "--design", str(table2_design), "--config", str(path),
+                "--out", str(tmp_path / "o.json")]
+    # The value is spliced into the JSON text: json.dumps cannot write NaN or
+    # Infinity the way a hand-edited file does.
+    *parents, leaf = field.split(".")
+    target = record
+    for name in parents:
+        target = target[name]
+    target[leaf] = "VALUE"
+    path.write_text(json.dumps(record).replace('"VALUE"', value))
+    assert main(argv) == code
+    assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_seed_environment_exits_3(table2_design, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RESONET_SEED", "abc")
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"perturb": 0.05}))
+    assert main(["optimize", "--design", str(table2_design), "--config", str(cfg)]) == 3
+    assert "RESONET_SEED" in capsys.readouterr().err

@@ -232,3 +232,56 @@ def test_eight_pole_recovery(xband8):
     assert result.converged
     for i in range(7):
         assert result.final.m[i, i + 1] == pytest.approx(cm8.m[i, i + 1], abs=2e-3)
+
+
+def scaled_start(spec, factors, qe_factor=1.0):
+    """The synthesized matrix with each superdiagonal coupling scaled in turn."""
+    cm = rn.synthesize_design(spec).matrix
+    m = np.array(cm.m)
+    for i, factor in enumerate(factors):
+        m[i, i + 1] = m[i + 1, i] = m[i, i + 1] * factor
+    return cm, rn.CouplingMatrix(m=m, qe1=cm.qe1 * qe_factor, qen=cm.qen * qe_factor)
+
+
+@pytest.mark.parametrize(
+    "order, factors",
+    [
+        (6, (0.998, 1.038, 1.045, 1.038, 0.998)),
+        (8, (1.002, 0.968, 1.038, 1.038, 1.038, 0.968, 1.002)),
+    ],
+)
+def test_mirror_symmetric_start_does_not_stall(order, factors):
+    # From these starts the mirror-grouped descent alone stops at cost ~0.025,
+    # a point stationary inside the symmetric subspace only.
+    spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+    cm, start = scaled_start(spec, factors)
+    problem = rn.OptimizationProblem(
+        initial=start,
+        spec=spec,
+        free_parameters=rn.ladder_free_parameters(order),
+        cost_config=rn.CostConfig.from_spec(spec),
+    )
+    result = rn.optimize(problem)
+    assert result.converged
+    assert result.final_cost <= 1e-10
+    for i in range(order - 1):
+        assert result.final.m[i, i + 1] == pytest.approx(cm.m[i, i + 1], abs=1e-3)
+
+
+def test_qe_pair_moves_as_one_orbit(yband4):
+    config = rn.CostConfig.from_spec(yband4)
+    free = rn.ladder_free_parameters(4, include_qe=True)
+    _, start = scaled_start(yband4, (1.04, 0.97, 1.04), qe_factor=1.03)
+    problem = rn.OptimizationProblem(
+        initial=start, spec=yband4, free_parameters=free, cost_config=config
+    )
+    final = rn.optimize(problem, max_iter=40).final
+    assert final.qe1 == final.qen
+    assert final.m[0, 1] == final.m[2, 3]
+
+    # One part in 1e9 off the mirror: every key moves on its own.
+    _, start = scaled_start(yband4, (1.04, 0.97, 1.04 * (1 + 1e-9)), qe_factor=1.03)
+    problem = dataclasses.replace(problem, initial=start)
+    final = rn.optimize(problem, max_iter=40).final
+    assert final.qe1 != final.qen
+    assert final.m[0, 1] != final.m[2, 3]

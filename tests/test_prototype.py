@@ -95,6 +95,8 @@ def test_order_one_base_case():
         lambda: rn.chebyshev_g_values(-3, 0.1),
         lambda: rn.chebyshev_g_values(4, 0.0),
         lambda: rn.chebyshev_g_values(4, -0.5),
+        lambda: rn.chebyshev_g_values(float("nan"), 0.1),
+        lambda: rn.chebyshev_g_values(4, float("inf")),
     ],
 )
 def test_invalid_prototype_arguments(bad_call):
@@ -161,6 +163,11 @@ def test_g1_increases_with_ripple():
         dict(order=4, f0_hz=10e9, bandwidth_hz=0.0, ripple_db=0.04321),
         dict(order=4, f0_hz=10e9, bandwidth_hz=11e9, ripple_db=0.04321),
         dict(order=4, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.0),
+        dict(order=float("nan"), f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321),
+        dict(order=float("inf"), f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321),
+        dict(order=None, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321),
+        dict(order=4, f0_hz=float("inf"), bandwidth_hz=0.5e9, ripple_db=0.04321),
+        dict(order=4, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=float("inf")),
     ],
 )
 def test_invalid_filter_spec(kwargs):

@@ -172,7 +172,13 @@ def test_sweep_reflection_zero_locations(cm4, xband4):
 
 @pytest.mark.parametrize(
     "f_start,f_stop,points",
-    [(9e9, 11e9, 1), (0.0, 11e9, 101), (-1e9, 11e9, 101), (11e9, 9e9, 101)],
+    [
+        (9e9, 11e9, 1),
+        (9e9, 11e9, float("nan")),
+        (0.0, 11e9, 101),
+        (-1e9, 11e9, 101),
+        (11e9, 9e9, 101),
+    ],
 )
 def test_sweep_validation(cm4, xband4, f_start, f_stop, points):
     with pytest.raises(InvalidSpecError):
