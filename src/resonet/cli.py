@@ -17,9 +17,11 @@ import numpy as np
 
 from ._version import __version__
 from .designfile import (
+    _BOOLEAN,
     _INTEGER,
     _LISTS,
     _NUMBER,
+    _STRING,
     DesignFile,
     _read_json,
     _require,
@@ -187,7 +189,7 @@ def _cmd_optimize(args) -> int:
         spec=design.spec,
         free_parameters=free_keys,
         cost_config=CostConfig.from_spec(design.spec),
-        allow_cross_couplings=bool(config.get("allow_cross_couplings", False)),
+        allow_cross_couplings=_option(config, "allow_cross_couplings", _BOOLEAN, False),
     )
 
     perturb = _option(config, "perturb", _NUMBER, None)
@@ -203,12 +205,13 @@ def _cmd_optimize(args) -> int:
         print(f"perturbed {len(problem.free_parameters)} free parameter(s) by up to "
               f"{perturb * 100:g}%")
 
+    # Only the keys the config gives: optimize's signature holds the defaults.
+    kinds = {"max_iter": _NUMBER, "tol": _NUMBER, "step_floor": _NUMBER, "method": _STRING}
+    settings = {key: _require(config, key, "optimizer config", kind)
+                for key, kind in kinds.items() if key in config}
     result = optimize(
         problem,
-        max_iter=_option(config, "max_iter", _NUMBER, 2000),
-        tol=_option(config, "tol", _NUMBER, 1e-10),
-        step_floor=_option(config, "step_floor", _NUMBER, 1e-9),
-        method=config.get("method", "sweep"),
+        **settings,
         on_iteration=lambda i, c, s: print(f"iter {i:5d}  cost {c:.6e}  max_step {s:.3e}"),
     )
 
@@ -295,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="refine coupling-matrix entries against the spec")
     p.add_argument("--design", required=True)
-    p.add_argument("--config", help="JSON optimizer config (free_parameters, max_iter, tol, perturb, seed, method)")
+    p.add_argument("--config", help="JSON optimizer config (free_parameters, allow_cross_couplings, max_iter, tol, "
+                   "step_floor, perturb, seed, method: gradient, sweep or nelder-mead)")
     p.add_argument("--out", help="output design file (default: overwrite input)")
     p.set_defaults(func=_cmd_optimize)
 

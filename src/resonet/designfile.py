@@ -15,7 +15,7 @@ from importlib import resources
 from ._util import atomic_write_text
 from ._version import __version__
 from .coupling import CouplingMatrix, from_couplings
-from .errors import ParseError, UnknownPresetError
+from .errors import InvalidSpecError, ParseError, UnknownPresetError
 from .polynomials import CharacteristicPolynomials, extract_polynomials
 from .prototype import (
     CouplingTargets,
@@ -113,6 +113,8 @@ def _is_rows(value, width=None) -> bool:
 # What a checked read can demand of a JSON value: a test and its name.
 _NUMBER = (_is_number, "a number")
 _INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_BOOLEAN = (lambda v: isinstance(v, bool), "true or false")
+_STRING = (lambda v: isinstance(v, str), "a string")
 _LISTS = (lambda v: isinstance(v, list) and all(isinstance(k, list) for k in v), "a list of lists")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
 _NUMBERS = (lambda v: _is_rows([v]), "a list of numbers")
@@ -151,6 +153,11 @@ def design_from_dict(data: dict) -> DesignFile:
         qe1=_require(matrix_rec, "qe1", "matrix", _NUMBER),
         qen=_require(matrix_rec, "qen", "matrix", _NUMBER),
     )
+    if not spec.order == matrix.n == len(prototype.g) - 2 == len(targets.k) + 1:
+        raise InvalidSpecError(
+            f"design sections disagree: spec order {spec.order}, {matrix.n}x{matrix.n} matrix, "
+            f"{len(prototype.g)} g-values, {len(targets.k)} couplings"
+        )
     polynomials = None
     if "polynomials" in data:
         rec = _require(data, "polynomials", "design file", _OBJECT)

@@ -1,10 +1,14 @@
-"""Coupling-matrix refinement by deterministic parameter-sweep descent.
+"""Coupling-matrix refinement against the equiripple targets.
 
 The cost pins the reflection zeros to their target prototype frequencies
 and the band edges to the equiripple reflection level; it is zero exactly
-when the matrix reproduces the target response. Descent sweeps the free
-parameters cyclically with a shrinking step, mirroring the bench practice
-of tuning one dimension at a time, and never accepts a worse iterate.
+when the matrix reproduces the target response. The default refinement is
+Levenberg-Marquardt least squares on the analytic Jacobian of the
+reflection, which the port solve of the cost already contains (Amari,
+IEEE T-MTT 48(9), 2000). Cyclic coordinate descent, the bench practice of
+tuning one dimension at a time, remains as the "sweep" method and as the
+fallback where the least-squares step stalls. Both accept only iterates
+that lower the cost.
 """
 
 from __future__ import annotations
@@ -17,11 +21,17 @@ import numpy as np
 
 from ._util import is_whole
 from .coupling import CouplingMatrix
-from .errors import InvalidSpecError, NumericalError
+from .errors import InvalidSpecError, NumericalError, SingularFrequencyError
 from .prototype import FilterSpec, _realized_ripple_db
 from .response import _scattering
 
 _PALINDROME_RTOL = 1e-12
+
+# Least-squares steps after which a run still above tol is dropped. From
+# +-5% starts, runs that reached tol took at most 27 steps (orders 4-16;
+# ladder, diagonal, cross and qe keys); runs that missed it crept along a
+# valley away from the solution for as long as they were let.
+_GRADIENT_STEPS = 100
 
 ParamKey = tuple
 # ("m", i, j) with 1-based resonator indices, ("qe1",) or ("qen",)
@@ -62,10 +72,7 @@ def cost(cm: CouplingMatrix, config: CostConfig) -> float:
     Raises NumericalError when a target frequency (a zero_omegas entry or
     edge_omega) is not finite, before any matrix is factored.
     """
-    omegas = np.array([*config.zero_omegas, config.edge_omega, -config.edge_omega])
-    if not np.all(np.isfinite(omegas)):
-        raise NumericalError(f"non-finite target frequency in {omegas[:-1]}")
-    s11 = _scattering(cm, 1j * omegas)[:, 0, 0]
+    s11 = _scattering(cm, 1j * _target_omegas(config))[:, 0, 0]
     # Term by term, in a fixed order: np.sum's pairwise order would change
     # the last bits.
     total = 0.0
@@ -74,6 +81,40 @@ def cost(cm: CouplingMatrix, config: CostConfig) -> float:
     for value in s11[-2:]:
         total += (abs(value) - config.edge_s11_mag) ** 2
     return total
+
+
+def _target_omegas(config: CostConfig) -> np.ndarray:
+    omegas = np.array([*config.zero_omegas, config.edge_omega, -config.edge_omega])
+    if not np.all(np.isfinite(omegas)):
+        raise NumericalError(f"non-finite target frequency in {omegas[:-1]}")
+    return omegas
+
+
+def _residuals(p: np.ndarray, n: int, orbits, config: CostConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The residual r = [Re S11(j w_z), Im S11(j w_z), |S11(+-j)| - level],
+    whose sum of squares is the cost, and its Jacobian over the orbit
+    values, from one kernel call.
+
+    A is complex-symmetric, so with x = inv(A) e1 the derivative of
+    S11 = 1 - 2 x_1 / qe1 along one entry m_ij is -(2j / qe1) x_i x_j;
+    qe1 and qen enter through their diagonal loading, qe1 also through
+    the port term. An orbit's column sums its positions in p, so mirrored
+    entries share one derivative and a symmetric step.
+    """
+    cm = _matrix(p, n)
+    sm, columns = _scattering(cm, 1j * _target_omegas(config), columns=True)
+    s11, x = sm[:, 0, 0], columns[:, :, 0]
+    d = np.empty((s11.size, p.size), dtype=complex)
+    d[:, :-2] = ((-2j / cm.qe1) * x[:, :, None] * x[:, None, :]).reshape(s11.size, -1)
+    d[:, -2] = 2.0 * x[:, 0] / cm.qe1**2 * (1.0 - x[:, 0] / cm.qe1)
+    d[:, -1] = -2.0 / cm.qe1 * x[:, -1] ** 2 / cm.qen**2
+    zeros, edges = s11[:-2], s11[-2:]
+    mag = np.abs(edges)
+    r = np.concatenate([zeros.real, zeros.imag, mag - config.edge_s11_mag])
+    # d|S11| = Re(conj(S11) dS11) / |S11|, taken as 0 where |S11| = 0
+    edge_rows = (edges.conj()[:, None] * d[-2:]).real / np.where(mag > 0, mag, 1.0)[:, None]
+    jac = np.concatenate([d[:-2].real, d[:-2].imag, edge_rows])
+    return r, np.stack([jac[:, orbit].sum(axis=1) for orbit in orbits], axis=1)
 
 
 def ladder_free_parameters(order: int, include_qe: bool = False) -> tuple[ParamKey, ...]:
@@ -133,10 +174,11 @@ class OptimizationResult:
 
 def _positions(key: ParamKey, n: int) -> list[int]:
     """Where a normalized key lives in p = [*m.ravel(), qe1, qen]: an m key
-    at its own (i, j) entry first, then at the symmetric (j, i) one."""
+    at its own (i, j) entry first, then at the symmetric (j, i) one unless
+    it is on the diagonal."""
     if key[0] == "m":
         i, j = key[1] - 1, key[2] - 1
-        return [i * n + j, j * n + i]
+        return [i * n + j] if i == j else [i * n + j, j * n + i]
     return [n * n if key == ("qe1",) else n * n + 1]
 
 
@@ -182,32 +224,54 @@ def optimize(
     tol: float = 1e-10,
     step_floor: float = 1e-9,
     initial_step: float = 0.05,
-    method: str = "sweep",
+    method: str = "gradient",
     on_iteration: Callable[[int, float, float], None] | None = None,
 ) -> OptimizationResult:
     """Minimize the cost over the free parameters.
 
-    The default "sweep" method is cyclic coordinate descent: each sweep
-    tries a positive then a negative step on every free coordinate,
-    accepting only improvements; a sweep with no improvement halves every
-    step. Converged means the cost fell below tol or every step hit the
+    The default "gradient" method is Levenberg-Marquardt least squares on
+    the residual whose sum of squares is the cost, with the analytic
+    Jacobian and Marquardt scaling. A damped step is accepted only if it
+    lowers the cost; each rejection raises the damping. One iteration is
+    one accepted step, and max_step is the largest parameter change it
+    made. Two cases hand over to the "sweep" method:
+
+    - No damped step larger than the relative step floor lowers the cost,
+      and the cost is above tol: the sweep goes on from that point with
+      one coordinate per free key, and its sweeps count on against
+      max_iter.
+    - After _GRADIENT_STEPS (100) steps, fewer than max_iter, the cost
+      is still above tol: the least-squares run is discarded, and the
+      result is the "sweep" method's from the start. On mirror-symmetric
+      starts with both qe free, least squares can creep along a valley
+      away from the solution.
+
+    "sweep" is cyclic coordinate descent: each sweep tries a positive then
+    a negative step on every free coordinate, accepting only
+    improvements; a sweep with no improvement halves every step. One
+    iteration is one sweep, and max_step is the largest step size.
+
+    Converged means the cost fell below tol or every step hit the
     relative step floor; exhausting max_iter returns converged=False
     rather than raising. Identical problems give bit-identical results.
 
     A palindromic problem (mirror-symmetric start and free set) moves each
-    mirrored pair as one coordinate, so every iterate stays symmetric; if
-    that stalls above tol, descent goes on per coordinate with fresh steps.
+    mirrored pair as one coordinate, so every iterate stays symmetric. A
+    symmetric point can be stationary inside the symmetric subspace but
+    not in the full space; if either method stalls there above tol,
+    descent goes on per coordinate with fresh steps.
 
     "nelder-mead" delegates to the scipy simplex implementation as a
     fallback for awkward landscapes; it shares the cost and convergence
-    thresholds but not the per-sweep monotonicity guarantee.
+    thresholds but not the per-iteration monotonicity guarantee.
 
-    on_iteration, when given, is called after each sweep with
-    (iteration, cost, max_step).
+    on_iteration, when given, is called after each iteration with
+    (iteration, cost, max_step); for the least-squares steps, once their
+    run has ended and been kept.
     """
     if not is_whole(max_iter, least=1):
         raise InvalidSpecError(f"max_iter must be an integer >= 1, got {max_iter}")
-    if method not in ("sweep", "nelder-mead"):
+    if method not in ("gradient", "sweep", "nelder-mead"):
         raise InvalidSpecError(f"unknown method {method!r}")
 
     n = problem.initial.n
@@ -219,9 +283,22 @@ def optimize(
     if method == "nelder-mead":
         return _optimize_nelder_mead(problem, p, orbits, current, max_iter, tol, step_floor)
 
-    steps = [initial_step * abs(p[orbit[0]]) or 0.01 for orbit in orbits]
     iterations = 0
     converged = current <= tol
+    if method == "gradient" and not converged:
+        q = p.copy()
+        budget = min(max_iter, _GRADIENT_STEPS)
+        reached, history = _levenberg_marquardt(q, n, orbits, current, problem.cost_config, budget, tol, step_floor)
+        # A run still descending at the step budget has, on the measured
+        # problems, left for a valley away from the solution: drop it.
+        if not (len(history) == _GRADIENT_STEPS < max_iter and reached > tol):
+            p, current, iterations, converged = q, reached, len(history), reached <= tol
+            orbits = [np.array(pos) for pos in positions]
+            if on_iteration is not None:
+                for i, (value, step) in enumerate(history, 1):
+                    on_iteration(i, value, step)
+
+    steps = [initial_step * abs(p[orbit[0]]) or 0.01 for orbit in orbits]
     while not converged and iterations < max_iter:
         iterations += 1
         improved = False
@@ -257,6 +334,50 @@ def optimize(
         iterations=iterations,
         converged=converged,
     )
+
+
+def _levenberg_marquardt(p, n, orbits, current, config, max_steps, tol, step_floor):
+    """Damped Gauss-Newton steps on the orbit values, in place on p.
+
+    Returns the cost and the (cost, max_step) of every accepted step, once
+    the cost is at most tol, max_steps steps were taken, or no damped step
+    larger than the step floor lowers the cost. Every position of an orbit
+    takes the orbit's new value, so a palindromic p stays exactly
+    symmetric.
+    """
+    heads = [orbit[0] for orbit in orbits]
+    damping = 1e-3
+    history: list[tuple[float, float]] = []
+    while current > tol and len(history) < max_steps:
+        r, jac = _residuals(p, n, orbits, config)
+        # Marquardt scaling: damp each coordinate by its own curvature.
+        scale = np.linalg.norm(jac, axis=0)
+        scale[scale == 0.0] = 1.0
+        u, sv, vt = np.linalg.svd(jac / scale, full_matrices=False)
+        ur = u.T @ r
+        start = p[heads]
+        floor = step_floor * np.maximum(1.0, np.abs(start))
+        while True:
+            step = -(vt.T @ (sv * ur / (sv * sv + damping))) / scale
+            if not np.any(np.abs(step) >= floor):
+                for orbit, value in zip(orbits, start):
+                    p[orbit] = value
+                return current, history
+            for orbit, value in zip(orbits, start + step):
+                p[orbit] = value
+            try:
+                trial = _checked_cost(p, n, config)
+            except (InvalidSpecError, SingularFrequencyError):
+                # the step left the domain: a qe at or below zero, or a
+                # singular filter matrix at a target frequency
+                trial = math.inf
+            if trial < current:
+                break
+            damping *= 10.0
+        current = trial
+        damping = max(damping / 10.0, 1e-12)
+        history.append((current, float(np.abs(step).max())))
+    return current, history
 
 
 def _optimize_nelder_mead(problem, p, orbits, initial_cost, max_iter, tol, step_floor):

@@ -17,6 +17,7 @@ import scipy.linalg
 
 from .coupling import CouplingMatrix, pole_matrix
 from .errors import InvalidSpecError, NumericalError, SingularFrequencyError
+from .response import _scattering
 
 _POLE_FLOOR = 1e-250
 
@@ -88,14 +89,15 @@ def _prod_over_roots(roots, s: complex) -> complex:
     return out
 
 
-def _ripple_constant(e_roots, f_roots, p_roots) -> float:
-    # Lossless network: |S21| = 1 wherever S11 vanishes, so eps |E| = |P|
-    # at every reflection zero projected onto the imaginary axis.
-    vals = []
-    for r in f_roots:
-        s0 = 1j * r.imag
-        vals.append(abs(_prod_over_roots(p_roots, s0)) / abs(_prod_over_roots(e_roots, s0)))
-    return float(np.median(vals))
+def _ripple_constant(cm: CouplingMatrix, e_roots, f_roots, p_roots) -> float:
+    # S21 = P / (eps E) at every s. Read eps at one point, from one kernel
+    # evaluation over the reflection zeros projected onto the imaginary
+    # axis: at the one where |S21| is largest, which is ~1 for a tuned
+    # design and keeps the most relative accuracy on a detuned one.
+    s0 = 1j * np.imag(f_roots)
+    s21 = np.abs(_scattering(cm, s0)[:, 1, 0])
+    k = int(np.argmax(s21))
+    return float(abs(_prod_over_roots(p_roots, s0[k])) / (abs(_prod_over_roots(e_roots, s0[k])) * s21[k]))
 
 
 def extract_polynomials(cm: CouplingMatrix) -> CharacteristicPolynomials:
@@ -108,7 +110,10 @@ def extract_polynomials(cm: CouplingMatrix) -> CharacteristicPolynomials:
     modified matrix. Transmission zeros solve the generalized problem
     det(s I' - M') = 0 with the first row and last column deleted; the
     deleted-identity pencil is singular, so infinite generalized
-    eigenvalues appear and are discarded as zeros at infinity.
+    eigenvalues appear and are discarded as zeros at infinity. The ripple
+    constant is |P| / (|E| |S21|) at one point, with S21 from the
+    S-parameter kernel, so it holds for detuned and cross-coupled
+    matrices as well as tuned ones.
     """
     if cm.n < 2:
         raise InvalidSpecError("polynomial extraction needs order >= 2")
@@ -129,7 +134,7 @@ def extract_polynomials(cm: CouplingMatrix) -> CharacteristicPolynomials:
         e_roots=tuple(e_roots),
         f_roots=tuple(f_roots),
         p_roots=tuple(p_roots),
-        epsilon=_ripple_constant(e_roots, f_roots, p_roots),
+        epsilon=_ripple_constant(cm, e_roots, f_roots, p_roots),
     )
 
 

@@ -99,7 +99,7 @@ class ResponseMetrics:
             raise InvalidSpecError("bandwidth cannot be negative")
 
 
-def _scattering(cm: CouplingMatrix, s) -> np.ndarray:
+def _scattering(cm: CouplingMatrix, s, columns: bool = False):
     """The 2x2 block [[S11, S12], [S21, S22]] at every point of s.
 
     x holds the port entries of inv(A) (rows and columns first and last);
@@ -108,34 +108,41 @@ def _scattering(cm: CouplingMatrix, s) -> np.ndarray:
     _RESIDUE_POINTS_PER_POLE points per resonator take x from the
     pole-residue form; shorter inputs, and matrices whose eigenvectors
     are ill-conditioned, from one LU solve per point.
+
+    With columns, the LU path always runs, and the result is the pair
+    (S block, columns): the full solutions of A(s) X = [e1, en], of shape
+    s.shape + (n, 2), whose first column is inv(A) e1.
     """
     s = np.asarray(s, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = _residue_ports(cm, s) if s.size > _RESIDUE_POINTS_PER_POLE * cm.n else None
+        x = None
+        if not columns and s.size > _RESIDUE_POINTS_PER_POLE * cm.n:
+            x = _residue_ports(cm, s)
         if x is None:
-            x = _lu_ports(cm, s)
+            full = _lu_columns(cm, s)
+            x = full[..., [0, -1], :]
         c = 2.0 / math.sqrt(cm.qe1 * cm.qen)
         out = np.array([[-2.0 / cm.qe1, c], [c, -2.0 / cm.qen]]) * x
         out[..., 0, 0] += 1.0
         out[..., 1, 1] += 1.0
         _guard(cm, s, x, out)
-    return out
+    return (out, full) if columns else out
 
 
-def _lu_ports(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:
-    """Port entries of inv(A(s)): one LU solve of A(s) per point against
-    both port unit vectors. Where A is exactly singular the entries are
-    NaN, which the guard reports."""
+def _lu_columns(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:
+    """inv(A(s)) [e1, en]: one LU solve of A(s) per point against both
+    port unit vectors. Where A is exactly singular the entries are NaN,
+    which the guard reports."""
     a = system_matrix(cm, s)
     rhs = np.zeros((cm.n, 2), dtype=complex)
     rhs[0, 0] = rhs[-1, 1] = 1.0
     try:
-        return np.linalg.solve(a, np.broadcast_to(rhs, a.shape[:-1] + (2,)))[..., [0, -1], :]
+        return np.linalg.solve(a, np.broadcast_to(rhs, a.shape[:-1] + (2,)))
     except np.linalg.LinAlgError:
         if s.ndim == 0:
-            return np.full((2, 2), np.nan, dtype=complex)
+            return np.full((cm.n, 2), np.nan, dtype=complex)
         # the batched solve does not say where: solve point by point
-        return np.array([_lu_ports(cm, point) for point in s.ravel()]).reshape(s.shape + (2, 2))
+        return np.array([_lu_columns(cm, point) for point in s.ravel()]).reshape(s.shape + (cm.n, 2))
 
 
 def _residue_ports(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray | None:

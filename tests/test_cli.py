@@ -183,6 +183,41 @@ def test_optimize_self_recovery(table2_design, tmp_path, capsys):
         )
 
 
+def spy_on_optimize(monkeypatch):
+    """Record the keyword arguments the CLI passes to optimize."""
+    seen = []
+
+    def spy(problem, **kwargs):
+        seen.append(kwargs)
+        return rn.optimize(problem, **kwargs)
+
+    monkeypatch.setattr("resonet.cli.optimize", spy)
+    return seen
+
+
+@pytest.mark.parametrize("method", ["gradient", "sweep", "nelder-mead"])
+def test_optimize_method_from_config(table2_design, tmp_path, monkeypatch, method):
+    seen = spy_on_optimize(monkeypatch)
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"perturb": 0.05, "seed": 3, "method": method}))
+    out = tmp_path / "optimized.json"
+    assert main(["optimize", "--design", str(table2_design), "--config", str(cfg), "--out", str(out)]) == 0
+    assert seen[0]["method"] == method
+    reference = rn.load_design(table2_design).matrix
+    assert rn.load_design(out).matrix.m == pytest.approx(reference.m, abs=5e-3)
+
+
+def test_optimize_defaults_are_the_library_defaults(table2_design, tmp_path, monkeypatch):
+    # A setting the config leaves out is not passed, so optimize's own
+    # default applies.
+    seen = spy_on_optimize(monkeypatch)
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"perturb": 0.05, "seed": 3, "tol": 1e-9}))
+    assert main(["optimize", "--design", str(table2_design), "--config", str(cfg),
+                 "--out", str(tmp_path / "o.json")]) == 0
+    assert sorted(seen[0]) == ["on_iteration", "tol"]
+
+
 def test_optimize_zero_max_iter_exits_3(table2_design, tmp_path):
     cfg = tmp_path / "opt.json"
     cfg.write_text(json.dumps({"max_iter": 0}))
@@ -293,6 +328,14 @@ def test_optimize_perturbation_draws_one_factor_per_key_in_order(table2_design, 
         ("optimize", "free_parameters", "[5]", 2),
         ("optimize", "free_parameters", '[["m", "a", 2]]', 3),
         ("optimize", "seed", '"abc"', 2),
+        ("optimize", "allow_cross_couplings", '"no"', 2),
+        ("optimize", "allow_cross_couplings", "1", 2),
+        ("optimize", "method", "5", 2),
+        ("optimize", "method", '"newton"', 3),
+        ("sweep", "spec.order", "6", 3),
+        ("sweep", "matrix.m", "[[0, 1], [1, 0]]", 3),
+        ("sweep", "prototype.g", "[1, 1, 1]", 3),
+        ("sweep", "targets.k", "[0.05]", 3),
     ],
 )
 def test_malformed_json_value_exits_2_or_3(table2_design, tmp_path, capsys, command, field, value, code):

@@ -5,6 +5,10 @@ import pytest
 
 import resonet as rn
 from resonet.errors import InvalidSpecError, NumericalError
+from resonet.optimizer import _orbits, _positions, _residuals, _vector
+
+# The descent methods that share the monotone, deterministic contract.
+DESCENT_METHODS = ("sweep", "gradient")
 
 
 @pytest.fixture(scope="module")
@@ -94,15 +98,16 @@ def test_cost_nonnegative_random(config4, random_lossless):
 
 def test_self_recovery_four_pole(cm4, xband4, config4):
     problem = perturbed_problem(cm4, xband4, config4, seed=42)
-    costs = []
-    result = rn.optimize(problem, on_iteration=lambda i, c, s: costs.append(c))
-    assert result.converged
-    assert result.final_cost < 1e-8
-    for i in range(3):
-        assert result.final.m[i, i + 1] == pytest.approx(cm4.m[i, i + 1], abs=1e-3)
-    # monotone descent over accepted sweeps
-    assert all(b <= a for a, b in zip(costs, costs[1:]))
-    assert result.final_cost <= rn.cost(problem.initial, config4)
+    for method in DESCENT_METHODS:
+        costs = []
+        result = rn.optimize(problem, method=method, on_iteration=lambda i, c, s: costs.append(c))
+        assert result.converged
+        assert result.final_cost < 1e-8
+        for i in range(3):
+            assert result.final.m[i, i + 1] == pytest.approx(cm4.m[i, i + 1], abs=1e-3)
+        # monotone descent over accepted iterations
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
+        assert result.final_cost <= rn.cost(problem.initial, config4)
 
 
 def test_start_at_optimum_is_a_fixed_point(cm4, xband4, config4):
@@ -127,6 +132,16 @@ def test_determinism_bit_for_bit(cm4, xband4, config4):
     assert r1.iterations == r2.iterations
 
 
+@pytest.mark.parametrize("method", DESCENT_METHODS)
+def test_each_descent_method_is_deterministic(cm4, xband4, config4, method):
+    problem = perturbed_problem(cm4, xband4, config4, seed=7)
+    r1 = rn.optimize(problem, method=method)
+    r2 = rn.optimize(problem, method=method)
+    assert np.array_equal(r1.final.m, r2.final.m)
+    assert r1.final_cost == r2.final_cost
+    assert r1.iterations == r2.iterations
+
+
 def test_palindromic_start_stays_palindromic(cm4, xband4, config4):
     # palindromic perturbation: end couplings moved together
     m = np.array(cm4.m)
@@ -140,19 +155,21 @@ def test_palindromic_start_stays_palindromic(cm4, xband4, config4):
         free_parameters=rn.ladder_free_parameters(4),
         cost_config=config4,
     )
-    result = rn.optimize(problem)
-    assert result.converged
-    flipped = result.final.m[::-1, ::-1].T
-    assert np.max(np.abs(result.final.m - flipped)) < 1e-9
-    assert result.final.m[0, 1] == pytest.approx(cm4.m[0, 1], abs=1e-3)
+    for method in DESCENT_METHODS:
+        result = rn.optimize(problem, method=method)
+        assert result.converged
+        flipped = result.final.m[::-1, ::-1].T
+        assert np.max(np.abs(result.final.m - flipped)) < 1e-9
+        assert result.final.m[0, 1] == pytest.approx(cm4.m[0, 1], abs=1e-3)
 
 
 def test_max_iter_exhaustion_is_not_an_error(cm4, xband4, config4):
     problem = perturbed_problem(cm4, xband4, config4, seed=3)
-    result = rn.optimize(problem, max_iter=2)
-    assert not result.converged
-    assert result.iterations == 2
-    assert result.final_cost <= rn.cost(problem.initial, config4)
+    for method in DESCENT_METHODS:
+        result = rn.optimize(problem, max_iter=2, method=method)
+        assert not result.converged
+        assert result.iterations == 2
+        assert result.final_cost <= rn.cost(problem.initial, config4)
 
 
 def test_max_iter_validation(cm4, xband4, config4):
@@ -175,7 +192,7 @@ def test_nan_cost_raises(cm4, xband4):
         rn.optimize(problem)
 
 
-@pytest.mark.parametrize("method", ["sweep", "nelder-mead"])
+@pytest.mark.parametrize("method", ["sweep", "nelder-mead", "gradient"])
 def test_non_finite_edge_target_raises(cm4, xband4, method):
     bad_config = dataclasses.replace(rn.CostConfig.from_spec(xband4), edge_omega=float("inf"))
     problem = rn.OptimizationProblem(
@@ -228,10 +245,11 @@ def test_eight_pole_recovery(xband8):
     cm8 = rn.from_couplings(rn.spec_to_couplings(xband8), xband8.fbw)
     config = rn.CostConfig.from_spec(xband8)
     problem = perturbed_problem(cm8, xband8, config, seed=77, amount=0.05)
-    result = rn.optimize(problem)
-    assert result.converged
-    for i in range(7):
-        assert result.final.m[i, i + 1] == pytest.approx(cm8.m[i, i + 1], abs=2e-3)
+    for method in DESCENT_METHODS:
+        result = rn.optimize(problem, method=method)
+        assert result.converged
+        for i in range(7):
+            assert result.final.m[i, i + 1] == pytest.approx(cm8.m[i, i + 1], abs=2e-3)
 
 
 def scaled_start(spec, factors, qe_factor=1.0):
@@ -251,8 +269,9 @@ def scaled_start(spec, factors, qe_factor=1.0):
     ],
 )
 def test_mirror_symmetric_start_does_not_stall(order, factors):
-    # From these starts the mirror-grouped descent alone stops at cost ~0.025,
-    # a point stationary inside the symmetric subspace only.
+    # From these starts the mirror-grouped descent alone, sweep or gradient,
+    # stops at cost ~0.025, a point stationary inside the symmetric subspace
+    # only.
     spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
     cm, start = scaled_start(spec, factors)
     problem = rn.OptimizationProblem(
@@ -261,11 +280,12 @@ def test_mirror_symmetric_start_does_not_stall(order, factors):
         free_parameters=rn.ladder_free_parameters(order),
         cost_config=rn.CostConfig.from_spec(spec),
     )
-    result = rn.optimize(problem)
-    assert result.converged
-    assert result.final_cost <= 1e-10
-    for i in range(order - 1):
-        assert result.final.m[i, i + 1] == pytest.approx(cm.m[i, i + 1], abs=1e-3)
+    for method in DESCENT_METHODS:
+        result = rn.optimize(problem, method=method)
+        assert result.converged
+        assert result.final_cost <= 1e-10
+        for i in range(order - 1):
+            assert result.final.m[i, i + 1] == pytest.approx(cm.m[i, i + 1], abs=1e-3)
 
 
 def test_qe_pair_moves_as_one_orbit(yband4):
@@ -275,13 +295,102 @@ def test_qe_pair_moves_as_one_orbit(yband4):
     problem = rn.OptimizationProblem(
         initial=start, spec=yband4, free_parameters=free, cost_config=config
     )
-    final = rn.optimize(problem, max_iter=40).final
-    assert final.qe1 == final.qen
-    assert final.m[0, 1] == final.m[2, 3]
-
     # One part in 1e9 off the mirror: every key moves on its own.
-    _, start = scaled_start(yband4, (1.04, 0.97, 1.04 * (1 + 1e-9)), qe_factor=1.03)
-    problem = dataclasses.replace(problem, initial=start)
-    final = rn.optimize(problem, max_iter=40).final
-    assert final.qe1 != final.qen
-    assert final.m[0, 1] != final.m[2, 3]
+    _, skewed = scaled_start(yband4, (1.04, 0.97, 1.04 * (1 + 1e-9)), qe_factor=1.03)
+    for method in DESCENT_METHODS:
+        final = rn.optimize(problem, max_iter=40, method=method).final
+        assert final.qe1 == final.qen
+        assert final.m[0, 1] == final.m[2, 3]
+
+        final = rn.optimize(dataclasses.replace(problem, initial=skewed), max_iter=40, method=method).final
+        assert final.qe1 != final.qen
+        assert final.m[0, 1] != final.m[2, 3]
+
+
+def test_gradient_run_that_creeps_away_gives_the_sweep_result(yband4):
+    # From this mirror-symmetric start with both qe free, least squares
+    # creeps toward couplings 40x too large; the run is dropped and the
+    # sweep from the same start decides the result.
+    cm, start = scaled_start(yband4, (1.0491211213153973, 1.0428937281434858, 1.0491211213153973),
+                             qe_factor=1.027651485181897)
+    problem = rn.OptimizationProblem(
+        initial=start,
+        spec=yband4,
+        free_parameters=rn.ladder_free_parameters(4, include_qe=True),
+        cost_config=rn.CostConfig.from_spec(yband4),
+    )
+    gradient = rn.optimize(problem)
+    sweep = rn.optimize(problem, method="sweep")
+    assert gradient.final_cost == sweep.final_cost <= 1e-10
+    assert gradient.iterations == sweep.iterations
+    assert np.array_equal(gradient.final.m, sweep.final.m)
+    assert np.abs(gradient.final.m - cm.m).max() < 1e-3
+
+
+def test_gradient_step_past_a_positive_qe_is_rejected(cm4, xband4, config4):
+    # From qe at 30% of its value the undamped step drives qe below zero; the
+    # trial counts as rejected and the damping rises.
+    start = rn.CouplingMatrix(m=cm4.m * 0.7, qe1=cm4.qe1 * 0.3, qen=cm4.qen * 0.33)
+    problem = rn.OptimizationProblem(
+        initial=start,
+        spec=xband4,
+        free_parameters=rn.ladder_free_parameters(4, include_qe=True),
+        cost_config=config4,
+    )
+    result = rn.optimize(problem, method="gradient")
+    assert result.converged
+    assert result.final_cost <= 1e-10
+
+
+def jacobian_cases(order, rng):
+    """(p, orbits) over ladder, diagonal, qe1/qen and cross keys: once at a
+    palindromic point, where mirrored keys form orbits, once off it."""
+    spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+    cm = rn.synthesize_design(spec).matrix
+    keys = [*rn.ladder_free_parameters(order, include_qe=True)]
+    keys += [("m", i, i) for i in range(1, order + 1)]
+    if order > 2:
+        keys += [("m", 1, order), ("m", 1, 3), ("m", order - 2, order)]
+    m = np.array(cm.m)
+    for _, i, j in (k for k in keys if k[0] == "m"):
+        value = m[i - 1, j - 1] * rng.uniform(0.95, 1.05) if j == i + 1 else rng.uniform(-0.1, 0.1)
+        m[i - 1, j - 1] = m[j - 1, i - 1] = value
+    palindromic = (m + m[::-1, ::-1].T) / 2.0
+    positions = [_positions(key, order) for key in dict.fromkeys(keys)]
+    for start, qe in ((palindromic, (cm.qe1, cm.qe1)), (m, (cm.qe1 * 1.02, cm.qen * 0.98))):
+        p = _vector(rn.CouplingMatrix(m=start, qe1=qe[0], qen=qe[1]))
+        yield p, _orbits(positions, p, order), rn.CostConfig.from_spec(spec)
+
+
+@pytest.mark.parametrize("order", range(2, 21))
+def test_jacobian_matches_central_differences(order):
+    rng = np.random.default_rng(order)
+    orbit_counts = []
+    for p, orbits, config in jacobian_cases(order, rng):
+        orbit_counts.append(len(orbits))
+        r, jac = _residuals(p, order, orbits, config)
+        assert jac.shape == (r.size, len(orbits))
+        for k, orbit in enumerate(orbits):
+            h = 1e-6 * max(1.0, abs(p[orbit[0]]))
+            plus, minus = p.copy(), p.copy()
+            plus[orbit] += h
+            minus[orbit] -= h
+            column = (_residuals(plus, order, orbits, config)[0] - _residuals(minus, order, orbits, config)[0]) / (2 * h)
+            assert np.abs(jac[:, k] - column).max() <= 1e-6 * max(1.0, np.abs(column).max())
+    # mirrored keys share an orbit at the palindromic point only
+    assert orbit_counts[0] < orbit_counts[1]
+
+
+@pytest.mark.parametrize("order", range(4, 21))
+def test_gradient_converges_to_the_synthesized_matrix(order):
+    # tol and step floor far below the defaults, so that convergence, not the
+    # stopping threshold, decides how close the result gets.
+    spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+    cm = rn.synthesize_design(spec).matrix
+    config = rn.CostConfig.from_spec(spec)
+    for seed in range(2):
+        problem = perturbed_problem(cm, spec, config, seed=100 * order + seed, amount=0.05)
+        result = rn.optimize(problem, method="gradient", tol=1e-24, step_floor=1e-15)
+        assert result.converged
+        assert result.final_cost == rn.cost(result.final, config)
+        assert np.abs(result.final.m - cm.m).max() <= 1e-9

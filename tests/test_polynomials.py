@@ -132,6 +132,21 @@ def test_polynomial_path_matches_matrix_path(xband4, xband8, yband4):
             assert abs(p21 - abs(s21)) < 1e-7
 
 
+@pytest.mark.parametrize("order", range(2, 21))
+def test_polynomial_route_matches_kernel_on_random_matrices(order, random_lossless):
+    # Detuned and fully coupled matrices, where |S21| = 1 holds at no
+    # projected reflection zero; the ripple constant must not assume it.
+    rng = np.random.default_rng(1000 + order)
+    for _ in range(5):
+        cm = random_lossless(rng, n=order)
+        cp = rn.extract_polynomials(cm)
+        for omega in rng.uniform(-3, 3, size=10):
+            p11, p21 = rn.response_from_polynomials(cp, 1j * omega)
+            s11, s21 = rn.s_parameters(cm, 1j * omega)
+            assert abs(p11 - abs(s11)) < 1e-10
+            assert abs(p21 - abs(s21)) < 1e-10
+
+
 def test_evaluation_at_pole_raises(cp4):
     with pytest.raises(SingularFrequencyError):
         rn.response_from_polynomials(cp4, cp4.e_roots[0])
