@@ -121,7 +121,7 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_sweep(args) -> int:
     design = load_design(args.design)
-    resp, s12, s22 = sweep_two_port(
+    resp, _, _ = sweep_two_port(
         design.matrix,
         design.spec,
         args.f_start * 1e9,
@@ -129,7 +129,7 @@ def _cmd_sweep(args) -> int:
         args.points,
     )
     if args.format == "touchstone":
-        write_touchstone(args.out, resp.grid, resp.s11, resp.s21, s12, s22)
+        write_touchstone(args.out, resp.grid, resp.s11, resp.s21, resp.s12, resp.s22)
     else:
         write_csv(args.out, resp)
     print(

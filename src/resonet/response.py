@@ -48,36 +48,37 @@ _EIGVEC_COND_LIMIT = 1e4
 
 @dataclass(frozen=True, eq=False)
 class FrequencyResponse:
-    """Sampled two-port response over a strictly increasing grid.
+    """Sampled two-port response over a strictly increasing grid in Hz.
 
-    The grid is in Hz for bandpass data (domain "bandpass") or in
-    dimensionless prototype frequency (domain "prototype").
+    s12 and s22 are None for CSV data and two-array callers. Entries must
+    match the grid in length and be finite and passive. Writable inputs are
+    copied; read-only ones, such as a sweep's kernel output, are kept.
     """
 
     grid: np.ndarray
     s11: np.ndarray
     s21: np.ndarray
     spec: FilterSpec | None = None
-    domain: str = "bandpass"
+    s12: np.ndarray | None = None
+    s22: np.ndarray | None = None
 
     def __post_init__(self):
         grid = np.array(self.grid, dtype=float)
-        s11 = np.array(self.s11, dtype=complex)
-        s21 = np.array(self.s21, dtype=complex)
         if grid.ndim != 1 or grid.size == 0:
             raise InvalidSpecError("grid must be a non-empty 1-d sequence")
-        if s11.shape != grid.shape or s21.shape != grid.shape:
-            raise InvalidSpecError("grid, s11 and s21 must have equal length")
+        names = ["s11", "s21"] + [name for name in ("s12", "s22") if getattr(self, name) is not None]
+        given = [np.asarray(getattr(self, name), dtype=complex) for name in names]
+        if any(arr.shape != grid.shape for arr in given):
+            raise InvalidSpecError(f"grid, {', '.join(names)} must have equal length")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise InvalidSpecError("grid must be strictly increasing")
-        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(s11)) and np.all(np.isfinite(s21))):
+        data = [arr.copy() if arr.flags.writeable else arr for arr in given]
+        worst = np.max([np.abs(arr).max() for arr in data])  # NaN or inf if any entry is not finite
+        if not (np.all(np.isfinite(grid)) and np.isfinite(worst)):
             raise InvalidSpecError("response data must be finite")
-        worst = max(np.abs(s11).max(), np.abs(s21).max())
         if worst > 1.0 + PASSIVITY_TOL:
             raise InvalidSpecError(f"non-passive data: max |S| = {worst}")
-        if self.domain not in ("bandpass", "prototype"):
-            raise InvalidSpecError(f"unknown domain tag {self.domain!r}")
-        for name, arr in (("grid", grid), ("s11", s11), ("s21", s21)):
+        for name, arr in (("grid", grid), *zip(names, data)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -253,16 +254,6 @@ def band_edge_frequencies(spec: FilterSpec) -> tuple[float, float]:
     )
 
 
-def _sweep_arrays(cm, spec, f_start_hz, f_stop_hz, points):
-    if not is_whole(points, least=2):
-        raise InvalidSpecError(f"points must be an integer >= 2, got {points}")
-    if not 0 < f_start_hz < f_stop_hz:
-        raise InvalidSpecError("need 0 < f_start < f_stop")
-    f = np.linspace(f_start_hz, f_stop_hz, int(points))
-    sm = _scattering(cm, 1j * normalized_frequency(f, spec))
-    return f, sm[:, 0, 0], sm[:, 1, 0], sm[:, 0, 1], sm[:, 1, 1]
-
-
 def sweep(
     cm: CouplingMatrix,
     spec: FilterSpec,
@@ -270,19 +261,26 @@ def sweep(
     f_stop_hz: float,
     points: int,
 ) -> FrequencyResponse:
-    """Evaluate S11/S21 on a linear frequency grid.
+    """Evaluate the full two-port S-matrix on a linear frequency grid.
 
     Each grid frequency maps to the prototype domain through
-    normalized_frequency and the response is evaluated at s = j omega.
-    The output is deterministic for a given grid. A grid of at most 4 n
-    points equals the per-point route (s_matrix at each point) exactly. A
-    longer grid takes the pole-residue path and agrees with it to
-    rounding: within 1e-13 on Chebyshev designs up to order 16 (2.3e-13
-    at order 20), and within 4e-12 on 2000 random lossless matrices up
-    to order 20.
+    normalized_frequency and S11, S21, S12 and S22 all come from one
+    kernel call at s = j omega. The output is deterministic for a given
+    grid. A grid of at most 4 n points equals the per-point route
+    (s_matrix at each point) exactly. A longer grid takes the pole-residue
+    path and agrees with it to rounding: within 1e-13 on Chebyshev designs
+    up to order 16 (2.3e-13 at order 20), and within 4e-12 on 2000 random
+    lossless matrices up to order 20.
     """
-    f, s11, s21, _, _ = _sweep_arrays(cm, spec, f_start_hz, f_stop_hz, points)
-    return FrequencyResponse(grid=f, s11=s11, s21=s21, spec=spec)
+    if not is_whole(points, least=2):
+        raise InvalidSpecError(f"points must be an integer >= 2, got {points}")
+    if not 0 < f_start_hz < f_stop_hz:
+        raise InvalidSpecError("need 0 < f_start < f_stop")
+    f = np.linspace(f_start_hz, f_stop_hz, int(points))
+    sm = _scattering(cm, 1j * normalized_frequency(f, spec))
+    sm.setflags(write=False)  # the response keeps views of it, not a copy
+    s11, s12, s21, s22 = sm.reshape(-1, 4).T
+    return FrequencyResponse(grid=f, s11=s11, s21=s21, spec=spec, s12=s12, s22=s22)
 
 
 def sweep_two_port(
@@ -292,12 +290,10 @@ def sweep_two_port(
     f_stop_hz: float,
     points: int,
 ) -> tuple[FrequencyResponse, np.ndarray, np.ndarray]:
-    """Like sweep, but also returns the far-port entries S12 and S22.
-
-    Returns (response, s12, s22) so a full two-port file can be written.
-    """
-    f, s11, s21, s12, s22 = _sweep_arrays(cm, spec, f_start_hz, f_stop_hz, points)
-    return FrequencyResponse(grid=f, s11=s11, s21=s21, spec=spec), s12, s22
+    """sweep, returned as (response, response.s12, response.s22): the shape
+    the six-array write_touchstone takes."""
+    resp = sweep(cm, spec, f_start_hz, f_stop_hz, points)
+    return resp, resp.s12, resp.s22
 
 
 def _interp_crossing(x0, y0, x1, y1, level):

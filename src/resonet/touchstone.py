@@ -1,8 +1,10 @@
-"""Touchstone v1 and CSV serialization of two-port sweeps.
+"""Touchstone v1 and CSV serialization of two-port responses.
 
-The Touchstone dialect written here is `# GHz S RI R 50` with one
-ascending-frequency row of 9 columns per point. The reader accepts any
-frequency unit but only S-parameter data in real/imaginary format.
+One row per point, ascending in frequency: `# GHz S RI R 50` Touchstone
+rows carry S11, S21, S12, S22 (9 columns), CSV rows S11, S21 only (5), so
+a CSV response has s12 and s22 None. The Touchstone reader takes any
+frequency unit from the first option line, which must precede the data
+(v1.1 voids later ones), but only RI S-parameter data.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._util import atomic_write_text
-from .errors import ParseError
+from .errors import InvalidSpecError, ParseError
 from .response import FrequencyResponse
 
 CSV_HEADER = "freq_hz,s11_re,s11_im,s21_re,s21_im"
@@ -22,118 +24,105 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _write_rows(path, header: str, sep: str, unit: float, grid, *entries) -> None:
+    """The header, then per point the frequency in `unit` Hz and (re, im) of
+    each entry. Unequal column lengths raise before anything is written."""
+    lengths = [len(column) for column in (grid, *entries)]
+    if len(set(lengths)) != 1:
+        raise InvalidSpecError(f"grid and S-parameter columns differ in length: {lengths}")
+    lines = [header]
+    for f, *values in zip(grid, *entries):
+        row = [_fmt(f / unit)]
+        for v in values:
+            row += [_fmt(v.real), _fmt(v.imag)]
+        lines.append(sep.join(row))
+    atomic_write_text(str(path), "\n".join(lines) + "\n")
+
+
+def _parse_rows(path, lines, width: int, unit: float, sep: str | None = None) -> FrequencyResponse:
+    """The response in (lineno, text) rows of frequency in `unit` Hz, then
+    (re, im) of S11, S21 and, in 9 columns, S12, S22. Blank rows are skipped;
+    ParseError for a bad row (by line number), no rows or a non-increasing grid."""
+    rows = []
+    for lineno, line in lines:
+        if not line:
+            continue
+        try:
+            values = [float(tok) for tok in line.split(sep)]
+        except ValueError as err:
+            raise ParseError(f"line {lineno}: {err}") from err
+        if len(values) != width:
+            raise ParseError(f"line {lineno}: expected {width} columns, got {len(values)}")
+        rows.append(values)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    data = np.array(rows)
+    freq = data[:, 0] * unit
+    if freq.size > 1 and not np.all(np.diff(freq) > 0):
+        raise ParseError(f"{path}: frequencies must be strictly increasing")
+    s = data[:, 1::2] + 1j * data[:, 2::2]
+    return FrequencyResponse(grid=freq, **dict(zip(("s11", "s21", "s12", "s22"), s.T)))
+
+
 def write_touchstone(path, grid_hz, s11, s21, s12, s22) -> None:
     """Write a 2-port Touchstone v1 file (RI data, GHz, 50 ohm reference).
 
     The reference impedance is labeling only: the normalized model is
     impedance-agnostic.
     """
-    lines = ["# GHz S RI R 50"]
-    for f, a, b, c, d in zip(grid_hz, s11, s21, s12, s22):
-        row = [_fmt(f / 1e9)]
-        for v in (a, b, c, d):
-            row += [_fmt(v.real), _fmt(v.imag)]
-        lines.append(" ".join(row))
-    atomic_write_text(str(path), "\n".join(lines) + "\n")
+    _write_rows(path, "# GHz S RI R 50", " ", 1e9, grid_hz, s11, s21, s12, s22)
 
 
 def read_touchstone(path) -> FrequencyResponse:
     """Parse a 2-port Touchstone v1 file into a FrequencyResponse.
 
-    Column order follows the v1 two-port convention: S11, S21, S12, S22.
-    Raises ParseError with a line number for anything unreadable.
+    Column order follows the v1 two-port convention: S11, S21, S12, S22;
+    the response keeps all four. Raises ParseError with a line number for
+    anything unreadable.
     """
-    scale = _UNIT_SCALE["ghz"]
-    rows = []
+    unit, rows = None, []
     with open(path) as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("!", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                scale = _parse_option_line(line, lineno)
-                continue
-            try:
-                values = [float(tok) for tok in line.split()]
-            except ValueError as err:
-                raise ParseError(f"line {lineno}: {err}") from err
-            if len(values) != 9:
-                raise ParseError(f"line {lineno}: expected 9 columns, got {len(values)}")
-            rows.append(values)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    data = np.array(rows)
-    freq = data[:, 0] * scale
-    if freq.size > 1 and not np.all(np.diff(freq) > 0):
-        raise ParseError(f"{path}: frequencies must be strictly increasing")
-    return FrequencyResponse(
-        grid=freq,
-        s11=data[:, 1] + 1j * data[:, 2],
-        s21=data[:, 3] + 1j * data[:, 4],
-    )
+            if not line.startswith("#"):
+                rows.append((lineno, line))
+            elif unit is None:
+                if any(text for _, text in rows):
+                    raise ParseError(f"line {lineno}: the option line must precede the data")
+                unit = _parse_option_line(line, lineno)
+    return _parse_rows(path, rows, 9, unit or _UNIT_SCALE["ghz"])
 
 
 def _parse_option_line(line: str, lineno: int) -> float:
     scale = _UNIT_SCALE["ghz"]
-    tokens = line[1:].lower().split()
-    skip_next = False
+    tokens = iter(line[1:].lower().split())
     for tok in tokens:
-        if skip_next:
-            skip_next = False
-            continue
         if tok in _UNIT_SCALE:
             scale = _UNIT_SCALE[tok]
         elif tok == "r":
-            skip_next = True
+            next(tokens, None)  # the reference impedance
         elif tok in ("ma", "db"):
             raise ParseError(f"line {lineno}: only RI-format data is supported, got {tok.upper()}")
         elif tok in ("y", "z", "g", "h"):
             raise ParseError(f"line {lineno}: only S-parameter data is supported, got {tok.upper()}")
-        elif tok in ("s", "ri"):
-            continue
-        else:
+        elif tok not in ("s", "ri"):
             raise ParseError(f"line {lineno}: unrecognized option {tok!r}")
     return scale
 
 
 def write_csv(path, resp: FrequencyResponse) -> None:
     """Write `freq_hz,s11_re,s11_im,s21_re,s21_im` rows."""
-    lines = [CSV_HEADER]
-    for f, a, b in zip(resp.grid, resp.s11, resp.s21):
-        lines.append(
-            ",".join([_fmt(f), _fmt(a.real), _fmt(a.imag), _fmt(b.real), _fmt(b.imag)])
-        )
-    atomic_write_text(str(path), "\n".join(lines) + "\n")
+    _write_rows(path, CSV_HEADER, ",", 1.0, resp.grid, resp.s11, resp.s21)
 
 
 def read_csv(path) -> FrequencyResponse:
-    rows = []
+    """Parse a CSV file of write_csv's layout; s12 and s22 are None."""
     with open(path) as handle:
         header = handle.readline().strip()
         if header != CSV_HEADER:
             raise ParseError(f"{path}: expected header {CSV_HEADER!r}, got {header!r}")
-        for lineno, raw in enumerate(handle, 2):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                values = [float(tok) for tok in line.split(",")]
-            except ValueError as err:
-                raise ParseError(f"line {lineno}: {err}") from err
-            if len(values) != 5:
-                raise ParseError(f"line {lineno}: expected 5 columns, got {len(values)}")
-            rows.append(values)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    data = np.array(rows)
-    freq = data[:, 0]
-    if freq.size > 1 and not np.all(np.diff(freq) > 0):
-        raise ParseError(f"{path}: frequencies must be strictly increasing")
-    return FrequencyResponse(
-        grid=freq,
-        s11=data[:, 1] + 1j * data[:, 2],
-        s21=data[:, 3] + 1j * data[:, 4],
-    )
+        lines = [(lineno, raw.strip()) for lineno, raw in enumerate(handle, 2)]
+    return _parse_rows(path, lines, 5, 1.0, ",")
 
 
 def read_response(path) -> FrequencyResponse:

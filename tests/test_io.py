@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import resonet as rn
-from resonet.errors import ParseError
+from resonet.errors import InvalidSpecError, ParseError
 from resonet.touchstone import CSV_HEADER
 
 
@@ -102,6 +102,8 @@ def test_touchstone_round_trip(swept, tmp_path):
     assert np.max(np.abs(back.grid - resp.grid) / resp.grid) < 1e-12
     assert np.max(np.abs(back.s11 - resp.s11)) < 1e-12
     assert np.max(np.abs(back.s21 - resp.s21)) < 1e-12
+    assert np.max(np.abs(back.s12 - s12)) < 1e-12
+    assert np.max(np.abs(back.s22 - s22)) < 1e-12
 
 
 def test_touchstone_format(swept, tmp_path):
@@ -127,6 +129,21 @@ def test_touchstone_reader_handles_units_and_comments(tmp_path):
     resp = rn.read_touchstone(path)
     assert resp.grid[0] == pytest.approx(9.0e9)
     assert resp.s21[1] == pytest.approx(0.8)
+
+
+def test_touchstone_reader_uses_the_first_option_line_only(tmp_path):
+    # Touchstone v1.1: option lines after the first are void
+    path = tmp_path / "data.s2p"
+    path.write_text(
+        "# GHz S RI R 50\n"
+        "9 0 0 0 0 0 0 0 0\n"
+        "# MHz S RI R 50\n"
+        "9.1 0 0 0 0 0 0 0 0\n"
+    )
+    assert np.array_equal(rn.read_touchstone(path).grid, [9e9, 9.1e9])
+    path.write_text("! header\n9 0 0 0 0 0 0 0 0\n# MHz S RI R 50\n9.1 0 0 0 0 0 0 0 0\n")
+    with pytest.raises(ParseError, match="line 3: the option line must precede"):
+        rn.read_touchstone(path)
 
 
 def test_touchstone_reader_rejects_ma_format(tmp_path):
@@ -160,6 +177,39 @@ def test_csv_round_trip_and_header(swept, tmp_path):
     back = rn.read_csv(path)
     assert np.max(np.abs(back.s11 - resp.s11)) < 1e-12
     assert np.max(np.abs(back.s21 - resp.s21)) < 1e-12
+    assert back.s12 is None and back.s22 is None
+
+
+def test_written_bytes_are_pinned(tmp_path):
+    grid = np.array([9e9, 9.999999999e9, 1.1e10])
+    s11 = np.array([0.1 + 0.2j, -1 / 3, complex(0.25, -0.5)])
+    s21 = np.array([complex(-0.0, 0.7), 0.9 - 1e-17j, 2**-0.5])
+    s22 = np.array([-0.5j, 1e-300 + 0j, 0.125])
+    ts, cs = tmp_path / "fixed.s2p", tmp_path / "fixed.csv"
+    rn.write_touchstone(ts, grid, s11, s21, s21, s22)
+    rn.write_csv(cs, rn.FrequencyResponse(grid=grid, s11=s11, s21=s21))
+    assert ts.read_text() == (
+        "# GHz S RI R 50\n"
+        "9 0.10000000000000001 0.20000000000000001 -0 0.69999999999999996 "
+        "-0 0.69999999999999996 -0 -0.5\n"
+        "9.9999999989999999 -0.33333333333333331 0 0.90000000000000002 -1.0000000000000001e-17 "
+        "0.90000000000000002 -1.0000000000000001e-17 1e-300 0\n"
+        "11 0.25 -0.5 0.70710678118654757 0 0.70710678118654757 0 0.125 0\n"
+    )
+    assert cs.read_text() == (
+        "freq_hz,s11_re,s11_im,s21_re,s21_im\n"
+        "9000000000,0.10000000000000001,0.20000000000000001,-0,0.69999999999999996\n"
+        "9999999999,-0.33333333333333331,0,0.90000000000000002,-1.0000000000000001e-17\n"
+        "11000000000,0.25,-0.5,0.70710678118654757,0\n"
+    )
+
+
+def test_touchstone_writer_rejects_unequal_columns(swept, tmp_path):
+    resp, s12, s22 = swept
+    path = tmp_path / "short.s2p"
+    with pytest.raises(InvalidSpecError, match=r"\[201, 201, 201, 1, 201\]"):
+        rn.write_touchstone(path, resp.grid, resp.s11, resp.s21, s12[:1], s22)
+    assert not path.exists()
 
 
 def test_csv_header_enforced(tmp_path):

@@ -187,6 +187,9 @@ def test_sweep_validation(cm4, xband4, f_start, f_stop, points):
 
 def test_sweep_two_port_consistency(cm4, xband4):
     resp, s12, s22 = rn.sweep_two_port(cm4, xband4, 9.5e9, 10.5e9, 101)
+    full = rn.sweep(cm4, xband4, 9.5e9, 10.5e9, 101)
+    assert np.array_equal(full.s12, s12) and np.array_equal(full.s22, s22)
+    assert not (full.s12.flags.writeable or full.s12.base.flags.writeable)
     assert np.max(np.abs(s12 - resp.s21)) < 1e-12
     assert np.max(np.abs(s22)) <= 1 + 1e-9
     # lossless two-port: each column of S has unit norm
@@ -269,7 +272,20 @@ def test_response_validation_rejects_bad_grids():
     with pytest.raises(InvalidSpecError):
         rn.FrequencyResponse(grid=[1e9], s11=[1.0 + 1e-8], s21=[0.0])
     with pytest.raises(InvalidSpecError):
-        rn.FrequencyResponse(grid=[1e9], s11=[0.5], s21=[0.0], domain="octave")
+        rn.FrequencyResponse(grid=[1e9, 2e9], s11=[0, 0], s21=[0, 0], s12=[0.0])
+    with pytest.raises(InvalidSpecError):
+        rn.FrequencyResponse(grid=[1e9], s11=[0.5], s21=[0.0], s12=[np.nan])
+    with pytest.raises(InvalidSpecError):
+        rn.FrequencyResponse(grid=[1e9], s11=[0.5], s21=[0.0], s12=[0.0], s22=[1.0 + 1e-8])
+
+
+def test_response_copies_writable_inputs_only():
+    s11 = np.array([0.5 + 0.0j])
+    resp = rn.FrequencyResponse(grid=[1e9], s11=s11, s21=[0.0])
+    s11[0] = 0.9
+    assert resp.s11[0] == 0.5 and not resp.s11.flags.writeable
+    again = rn.FrequencyResponse(grid=resp.grid, s11=resp.s11, s21=resp.s21)
+    assert again.s11 is resp.s11
 
 
 def test_analyze_ideal_four_pole(cm4, xband4):
