@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .errors import (
     InsufficientPeaksError,
@@ -70,22 +69,46 @@ def _parabolic_vertex(x, y, i):
     return x[i] + d * step, y[i] - 0.25 * (y[i - 1] - y[i + 1]) * d
 
 
+def _prominent_maxima(y: np.ndarray, prominence: float) -> np.ndarray:
+    """Indices of the local maxima of y whose prominence is at least
+    `prominence`, ascending: the indices that SciPy's signal.find_peaks(y,
+    prominence=prominence) returns.
+
+    A local maximum is a run of equal samples whose nearest different
+    neighbours on both sides are strictly lower; it reports its middle
+    index, rounded down. A run that touches either end never counts. Its
+    prominence is its height minus the higher of two bases, each the
+    minimum between it and the nearest strictly higher sample on that side
+    (or the end of y if there is none).
+    """
+    starts = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    v = y[starts]  # one value per run of equal samples
+    keep = []
+    for j in np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1:
+        higher = np.flatnonzero(v > v[j])
+        k = np.searchsorted(higher, j)
+        lo = higher[k - 1] + 1 if k > 0 else 0
+        hi = higher[k] if k < higher.size else v.size
+        if v[j] - max(v[lo:j].min(), v[j + 1 : hi].min()) >= prominence:
+            keep.append((starts[j] + starts[j + 1] - 1) // 2)
+    return np.array(keep, dtype=np.intp)
+
+
 def find_peaks(resp: FrequencyResponse, expected: int | None = None) -> np.ndarray:
     """Resonance peak frequencies from |S21|, ascending.
 
-    Strict local maxima whose prominence exceeds PEAK_PROMINENCE of the
-    global maximum, refined by three-point parabolic interpolation. When
+    A peak is a local maximum of |S21| with prominence >= PEAK_PROMINENCE
+    x the global maximum. A flat top counts once, at its middle sample
+    (rounded down), and only if the nearest different samples on both
+    sides are lower; a maximum on the first or last sample never counts.
+    Each peak is refined by three-point parabolic interpolation. When
     `expected` is given and fewer peaks are found, raises
     InsufficientPeaksError carrying the count found.
     """
     if len(resp) < 3:
         raise InvalidSpecError("peak finding needs at least 3 samples")
     mag = np.abs(resp.s21)
-    top = mag.max()
-    if top > 0.0:
-        idx, _ = signal.find_peaks(mag, prominence=PEAK_PROMINENCE * top)
-    else:
-        idx = np.array([], dtype=int)
+    idx = _prominent_maxima(mag, PEAK_PROMINENCE * mag.max())
     freqs = np.array([_parabolic_vertex(resp.grid, mag, i)[0] for i in idx])
     if expected is not None and freqs.size < expected:
         raise InsufficientPeaksError(found=int(freqs.size), needed=int(expected))

@@ -33,11 +33,14 @@ ZERO_FLOOR_DB = -40.0
 _COND_LIMIT = 1e12
 _MAG_FLOOR = 1e-300
 
-# Inputs of more points than this per resonator take the pole-residue
-# form: one eigen solve, then O(n) per point, against O(n^3) per point for
-# LU. Below it, where every cost call (n + 2 points) and every one-point
-# call sits, LU is faster and keeps its exact results. Break-even measured
-# at 30 to 60 points for n = 2 to 20 on a 2-core x86 VM (OpenBLAS).
+# Inputs of more points than this per resonator, and of more than 48
+# points in all, take the pole-residue form: one eigen solve, then O(n) per
+# point, against O(n^3) per point for LU. Below it, where every cost call
+# (n + 2 points) and every one-point call sits, LU is faster and keeps its
+# exact results. Break-even measured at 30 to 60 points for n = 2 to 20 on
+# a 2-core x86 VM (OpenBLAS); the floor of 48 keeps LU where 4 n points
+# are too few to pay for the eigen solve (at n = 4 and 16 points, LU takes
+# 42 us and the residue form 73 us).
 _RESIDUE_POINTS_PER_POLE = 4
 
 # The residue form loses about 1e-16 * cond(V) against LU, and cond(V)
@@ -106,9 +109,9 @@ def _scattering(cm: CouplingMatrix, s, columns: bool = False):
     x holds the port entries of inv(A) (rows and columns first and last);
     S = I - 2 x / qe on the diagonal and 2 x / sqrt(qe1 qen) off it. The
     result has shape s.shape + (2, 2). Grids of more than
-    _RESIDUE_POINTS_PER_POLE points per resonator take x from the
-    pole-residue form; shorter inputs, and matrices whose eigenvectors
-    are ill-conditioned, from one LU solve per point.
+    _RESIDUE_POINTS_PER_POLE points per resonator and more than 48 points
+    in all take x from the pole-residue form; shorter inputs, and matrices
+    whose eigenvectors are ill-conditioned, from one LU solve per point.
 
     With columns, the LU path always runs, and the result is the pair
     (S block, columns): the full solutions of A(s) X = [e1, en], of shape
@@ -117,7 +120,7 @@ def _scattering(cm: CouplingMatrix, s, columns: bool = False):
     s = np.asarray(s, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = None
-        if not columns and s.size > _RESIDUE_POINTS_PER_POLE * cm.n:
+        if not columns and s.size > max(_RESIDUE_POINTS_PER_POLE * cm.n, 48):
             x = _residue_ports(cm, s)
         if x is None:
             full = _lu_columns(cm, s)
@@ -266,7 +269,7 @@ def sweep(
     Each grid frequency maps to the prototype domain through
     normalized_frequency and S11, S21, S12 and S22 all come from one
     kernel call at s = j omega. The output is deterministic for a given
-    grid. A grid of at most 4 n points equals the per-point route
+    grid. A grid of at most max(4 n, 48) points equals the per-point route
     (s_matrix at each point) exactly. A longer grid takes the pole-residue
     path and agrees with it to rounding: within 1e-13 on Chebyshev designs
     up to order 16 (2.3e-13 at order 20), and within 4e-12 on 2000 random

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -369,3 +372,13 @@ def test_malformed_seed_environment_exits_3(table2_design, tmp_path, monkeypatch
     cfg.write_text(json.dumps({"perturb": 0.05}))
     assert main(["optimize", "--design", str(table2_design), "--config", str(cfg)]) == 3
     assert "RESONET_SEED" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_signal_and_optimize_unloaded():
+    # every resonet process pays for what resonet.cli imports; scipy.optimize
+    # loads only inside the Nelder-Mead branch and scipy.signal not at all
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, resonet.cli; print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -157,3 +157,55 @@ def test_qe_needs_bracketed_3db_points():
     resp = rn.sweep(cm, mapping_spec(), F0 - 1e7, F0 + 1e7, 101)
     with pytest.raises(InsufficientSpanError):
         rn.extract_qe(resp, F0)
+
+
+def peak_oracle_inputs():
+    """Seeded |S21|-like arrays in [0, 1]: random floats, small integers
+    (full of plateaus, some with one tall sample so that prominences tie
+    PEAK_PROMINENCE x max exactly), and constant, monotone, 3-sample and
+    edge-peaked arrays."""
+    rng = np.random.default_rng(1810)
+    cases = [
+        np.full(7, 0.5),
+        np.linspace(0.1, 0.9, 9),
+        np.linspace(0.9, 0.1, 9),
+        np.array([0.1, 0.5, 0.2]),
+        np.array([0.5, 0.1, 0.5]),
+        np.array([0.5, 0.5, 0.5]),
+        np.array([0.9, 0.2, 0.5, 0.1, 0.3]),  # tallest sample first
+        np.array([0.3, 0.1, 0.5, 0.2, 0.9]),  # tallest sample last
+        np.array([0.2, 0.7, 0.7, 0.1, 0.7, 0.7, 0.7, 0.3]),  # even and odd plateaus
+        np.array([0.1, 0.6, 0.6, 0.6, 0.6]),  # plateau up to the last sample
+    ]
+    for _ in range(200):
+        n = int(rng.integers(3, 80))
+        cases.append(rng.random(n))
+        cases.append(rng.integers(0, 4, n) / 4.0)
+        tall = rng.integers(0, 4, n).astype(float)
+        tall[rng.integers(n)] = 100.0
+        cases.append(tall / 128.0)
+    return cases
+
+
+def test_find_peaks_matches_scipy_find_peaks():
+    from scipy import signal
+
+    from resonet.extraction import PEAK_PROMINENCE, _parabolic_vertex, _prominent_maxima
+
+    for y in peak_oracle_inputs():
+        every, _ = signal.find_peaks(y)
+        prominences = signal.peak_prominences(y, every)[0]
+        # no threshold, the default one, the least prominent peak's own (a
+        # tie) and just above the most prominent peak
+        top = prominences.max(initial=0.0)
+        levels = [0.0, PEAK_PROMINENCE * y.max(), prominences.min(initial=top), np.nextafter(top, np.inf)]
+        for level in levels:
+            want, _ = signal.find_peaks(y, prominence=level)
+            got = _prominent_maxima(y, level)
+            assert np.array_equal(got, want), (y.tolist(), level, got, want)
+        # find_peaks refines the peaks at the default threshold
+        grid = np.linspace(1e9, 2e9, y.size)
+        resp = rn.FrequencyResponse(grid=grid, s11=np.zeros(y.size), s21=y)
+        want, _ = signal.find_peaks(y, prominence=PEAK_PROMINENCE * y.max())
+        expected = [_parabolic_vertex(grid, y, i)[0] for i in want]
+        assert np.array_equal(rn.find_peaks(resp), expected), (y.tolist(), want)

@@ -206,13 +206,16 @@ def swept_s_matrices(resp, s12, s22):
 
 
 def test_sweep_two_port_is_s_matrix_on_the_grid(cm4, xband4):
-    # 11 points at n = 4 take the LU path, bit for bit the point route
-    resp, s12, s22 = rn.sweep_two_port(cm4, xband4, 9.5e9, 10.5e9, 11)
-    assert np.array_equal(swept_s_matrices(resp, s12, s22), point_s_matrices(cm4, resp, xband4))
-    # 101 points take the pole-residue path: equal to rounding
-    resp, s12, s22 = rn.sweep_two_port(cm4, xband4, 9.5e9, 10.5e9, 101)
-    diff = swept_s_matrices(resp, s12, s22) - point_s_matrices(cm4, resp, xband4)
-    assert np.abs(diff).max() <= 1e-13
+    # at n = 4, grids of up to 48 points (not only up to 4 n = 16) take the
+    # LU path, which is faster there: bit for bit the point route
+    for points in (11, 16, 17, 48):
+        resp, s12, s22 = rn.sweep_two_port(cm4, xband4, 9.5e9, 10.5e9, points)
+        assert np.array_equal(swept_s_matrices(resp, s12, s22), point_s_matrices(cm4, resp, xband4))
+    # longer grids take the pole-residue path: equal to rounding
+    for points in (49, 101):
+        resp, s12, s22 = rn.sweep_two_port(cm4, xband4, 9.5e9, 10.5e9, points)
+        diff = swept_s_matrices(resp, s12, s22) - point_s_matrices(cm4, resp, xband4)
+        assert np.abs(diff).max() <= 1e-13
 
 
 @pytest.mark.parametrize("m12", [0.5, 0.5 + 1e-9])
@@ -229,7 +232,8 @@ def test_sweep_near_exceptional_point_matches_point_route(m12, xband4):
 @st.composite
 def lossless_sweeps(draw):
     """A random lossless matrix of order 2 to 20 and a grid of more than
-    4 n points spanning prototype omega -3 to 3."""
+    max(4 n, 48) points (the pole-residue path) spanning prototype omega
+    -3 to 3."""
     n = draw(st.integers(min_value=2, max_value=20))
     entries = st.floats(min_value=-3.0, max_value=3.0)
     upper = draw(st.lists(entries, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
@@ -237,7 +241,7 @@ def lossless_sweeps(draw):
     m[np.triu_indices(n)] = upper
     m = m + np.triu(m, 1).T
     qe1, qen = draw(st.tuples(*[st.floats(min_value=0.2, max_value=5.0)] * 2))
-    points = draw(st.integers(min_value=4 * n + 1, max_value=4 * n + 200))
+    points = draw(st.integers(min_value=max(4 * n, 48) + 1, max_value=4 * n + 200))
     return rn.CouplingMatrix(m=m, qe1=qe1, qen=qen), points
 
 
