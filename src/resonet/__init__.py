@@ -3,9 +3,9 @@
 From a bandpass specification the toolkit produces Chebyshev low-pass
 prototypes, external-Q/coupling targets, normalized coupling matrices,
 S-parameter sweeps and characteristic polynomials; it refines matrices
-against the specification by derivative-free descent, and it solves the
-inverse problems of extracting coupling coefficients and external quality
-factors from sampled responses. Rectangular-waveguide TE10 helpers and
+against the specification by least squares on the analytic Jacobian,
+and it solves the inverse problems of extracting coupling coefficients
+and external quality factors from sampled responses. Rectangular-waveguide TE10 helpers and
 Touchstone/CSV/design-file I/O round out the CLI.
 """
 

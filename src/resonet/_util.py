@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 import numbers
 import os
 import tempfile
+from importlib import resources
+
+from .errors import UnknownPresetError
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -30,3 +35,17 @@ def atomic_write_text(path: str, text: str) -> None:
 def is_whole(value, least: int) -> bool:
     """True for a finite real number >= least with no fractional part."""
     return isinstance(value, numbers.Real) and math.isfinite(value) and least <= value == int(value)
+
+
+@functools.cache
+def bundled_table(filename: str) -> dict:
+    """A JSON file shipped in resonet/data, read once per process."""
+    return json.loads(resources.files("resonet.data").joinpath(filename).read_text())
+
+
+def lookup(table: dict, name: str):
+    """The entry of table whose key is name, ignoring case."""
+    for key, value in table.items():
+        if key.lower() == name.lower():
+            return value
+    raise UnknownPresetError(name, sorted(table))

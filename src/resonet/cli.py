@@ -32,17 +32,7 @@ from .designfile import (
     save_design,
     synthesize_design,
 )
-from .errors import (
-    BelowCutoffError,
-    InsufficientPeaksError,
-    InsufficientSpanError,
-    InvalidSpecError,
-    NoPassbandError,
-    NumericalError,
-    ParseError,
-    SingularFrequencyError,
-    UnknownPresetError,
-)
+from .errors import InvalidSpecError, ResonetError
 from .extraction import PeakPair, extract_k, extract_qe, find_peaks
 from .optimizer import (
     CostConfig,
@@ -59,11 +49,7 @@ from .touchstone import read_response, write_csv, write_touchstone
 from .waveguide import band_preset, cutoff_frequency, guided_wavelength
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_INVALID = 3
-EXIT_IO = 4
-EXIT_EXTRACTION = 5
-EXIT_NUMERICAL = 6
+EXIT_IO = 4  # every other failure code is the exit_code of its ResonetError
 
 SEED_ENV_VAR = "RESONET_SEED"
 
@@ -170,12 +156,18 @@ def _option(config: dict, key: str, kind, default):
 
 def _resolve_seed(config: dict):
     if "seed" in config:
-        return _require(config, "seed", "optimizer config", _INTEGER)
-    env = os.environ.get(SEED_ENV_VAR)
+        source, value = "seed", _require(config, "seed", "optimizer config", _INTEGER)
+    elif os.environ.get(SEED_ENV_VAR):
+        source, value = SEED_ENV_VAR, os.environ[SEED_ENV_VAR]
+    else:
+        return None
     try:
-        return int(env) if env else None
+        seed = int(value)
     except ValueError:
-        raise InvalidSpecError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+        seed = -1
+    if seed < 0:
+        raise InvalidSpecError(f"{source} must be a non-negative integer, got {value!r}")
+    return seed
 
 
 def _cmd_optimize(args) -> int:
@@ -183,7 +175,7 @@ def _cmd_optimize(args) -> int:
     config = _read_json(args.config) if args.config else {}
 
     free = _option(config, "free_parameters", _LISTS, None)
-    free_keys = tuple(map(tuple, free)) if free else ladder_free_parameters(design.matrix.n)
+    free_keys = ladder_free_parameters(design.matrix.n) if free is None else tuple(map(tuple, free))
     problem = OptimizationProblem(
         initial=design.matrix,
         spec=design.spec,
@@ -325,21 +317,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as err:
+    except ResonetError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except (InvalidSpecError, UnknownPresetError, BelowCutoffError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
+        return err.exit_code
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
-    except (InsufficientPeaksError, InsufficientSpanError, NoPassbandError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_EXTRACTION
-    except (NumericalError, SingularFrequencyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 def entry() -> None:

@@ -10,12 +10,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from importlib import resources
 
-from ._util import atomic_write_text
+from ._util import atomic_write_text, bundled_table, lookup
 from ._version import __version__
 from .coupling import CouplingMatrix, from_couplings
-from .errors import InvalidSpecError, ParseError, UnknownPresetError
+from .errors import InvalidSpecError, ParseError
 from .polynomials import CharacteristicPolynomials, extract_polynomials
 from .prototype import (
     CouplingTargets,
@@ -132,13 +131,7 @@ def _require(record: dict, key: str, where: str, kind=None):
 
 
 def design_from_dict(data: dict) -> DesignFile:
-    spec_rec = _require(data, "spec", "design file", _OBJECT)
-    spec = FilterSpec(
-        order=_require(spec_rec, "order", "design spec", _NUMBER),
-        f0_hz=_require(spec_rec, "f0_hz", "design spec", _NUMBER),
-        bandwidth_hz=_require(spec_rec, "bandwidth_hz", "design spec", _NUMBER),
-        ripple_db=_require(spec_rec, "ripple_db", "design spec", _NUMBER),
-    )
+    spec = filter_spec_from_config(_require(data, "spec", "design file", _OBJECT), where="design spec")
     prototype_rec = _require(data, "prototype", "design file", _OBJECT)
     prototype = LowpassPrototype(g=tuple(_require(prototype_rec, "g", "prototype", _NUMBERS)))
     targets_rec = _require(data, "targets", "design file", _OBJECT)
@@ -167,13 +160,14 @@ def design_from_dict(data: dict) -> DesignFile:
             p_roots=_pairs_to_roots(_require(rec, "p_roots", "polynomials", _PAIRS)),
             epsilon=_require(rec, "epsilon", "polynomials", _NUMBER),
         )
+    provenance = _require(data, "provenance", "design file", _OBJECT) if "provenance" in data else {}
     return DesignFile(
         spec=spec,
         prototype=prototype,
         targets=targets,
         matrix=matrix,
         polynomials=polynomials,
-        provenance=dict(data.get("provenance", {})),
+        provenance=dict(provenance),
     )
 
 
@@ -217,30 +211,14 @@ def filter_spec_from_config(data: dict, where: str = "config") -> FilterSpec:
     return FilterSpec(order=order, f0_hz=f0_hz, bandwidth_hz=bandwidth_hz, ripple_db=ripple_db)
 
 
-_reference_cache: dict | None = None
-
-
-def _reference_designs() -> dict:
-    global _reference_cache
-    if _reference_cache is None:
-        _reference_cache = json.loads(
-            resources.files("resonet.data").joinpath("reference_designs.json").read_text()
-        )
-    return _reference_cache
-
-
 def bundled_design_names() -> tuple[str, ...]:
-    return tuple(sorted(_reference_designs()["designs"]))
+    return tuple(sorted(bundled_table("reference_designs.json")["designs"]))
 
 
 def bundled_design(name: str) -> dict:
     """Full bundled record: filter config, waveguide band, and the
     reference physical dimensions (EM-derived data, not computed here)."""
-    designs = _reference_designs()["designs"]
-    for key, record in designs.items():
-        if key.lower() == name.lower():
-            return record
-    raise UnknownPresetError(name, sorted(designs))
+    return lookup(bundled_table("reference_designs.json")["designs"], name)
 
 
 def bundled_filter_spec(name: str) -> FilterSpec:

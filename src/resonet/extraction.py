@@ -98,7 +98,7 @@ def find_peaks(resp: FrequencyResponse, expected: int | None = None) -> np.ndarr
     """Resonance peak frequencies from |S21|, ascending.
 
     A peak is a local maximum of |S21| with prominence >= PEAK_PROMINENCE
-    x the global maximum. A flat top counts once, at its middle sample
+    x the largest |S21|. A flat top counts once, at its middle sample
     (rounded down), and only if the nearest different samples on both
     sides are lower; a maximum on the first or last sample never counts.
     Each peak is refined by three-point parabolic interpolation. When

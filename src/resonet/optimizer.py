@@ -33,6 +33,9 @@ _PALINDROME_RTOL = 1e-12
 # valley away from the solution for as long as they were let.
 _GRADIENT_STEPS = 100
 
+# First coordinate-descent step, relative to the parameter's magnitude.
+_INITIAL_STEP = 0.05
+
 ParamKey = tuple
 # ("m", i, j) with 1-based resonator indices, ("qe1",) or ("qen",)
 
@@ -223,7 +226,6 @@ def optimize(
     max_iter: int = 2000,
     tol: float = 1e-10,
     step_floor: float = 1e-9,
-    initial_step: float = 0.05,
     method: str = "gradient",
     on_iteration: Callable[[int, float, float], None] | None = None,
 ) -> OptimizationResult:
@@ -271,6 +273,11 @@ def optimize(
     """
     if not is_whole(max_iter, least=1):
         raise InvalidSpecError(f"max_iter must be an integer >= 1, got {max_iter}")
+    # the step floor is the only exit of a descent that no step improves
+    if not 0 < step_floor < math.inf:
+        raise InvalidSpecError(f"step_floor must be positive and finite, got {step_floor}")
+    if math.isnan(tol):
+        raise InvalidSpecError("tol must not be NaN")
     if method not in ("gradient", "sweep", "nelder-mead"):
         raise InvalidSpecError(f"unknown method {method!r}")
 
@@ -298,7 +305,7 @@ def optimize(
                 for i, (value, step) in enumerate(history, 1):
                     on_iteration(i, value, step)
 
-    steps = [initial_step * abs(p[orbit[0]]) or 0.01 for orbit in orbits]
+    steps = [_INITIAL_STEP * abs(p[orbit[0]]) or 0.01 for orbit in orbits]
     while not converged and iterations < max_iter:
         iterations += 1
         improved = False
@@ -326,7 +333,7 @@ def optimize(
                 # The grouped descent stalled inside the mirror-symmetric
                 # subspace, which can be a saddle of the full space.
                 orbits = [np.array(pos) for pos in positions]
-                steps = [initial_step * abs(p[orbit[0]]) or 0.01 for orbit in orbits]
+                steps = [_INITIAL_STEP * abs(p[orbit[0]]) or 0.01 for orbit in orbits]
 
     return OptimizationResult(
         final=_matrix(p, n),

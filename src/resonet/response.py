@@ -277,8 +277,8 @@ def sweep(
     """
     if not is_whole(points, least=2):
         raise InvalidSpecError(f"points must be an integer >= 2, got {points}")
-    if not 0 < f_start_hz < f_stop_hz:
-        raise InvalidSpecError("need 0 < f_start < f_stop")
+    if not 0 < f_start_hz < f_stop_hz < math.inf:
+        raise InvalidSpecError("need 0 < f_start < f_stop < inf")
     f = np.linspace(f_start_hz, f_stop_hz, int(points))
     sm = _scattering(cm, 1j * normalized_frequency(f, spec))
     sm.setflags(write=False)  # the response keeps views of it, not a copy
@@ -308,14 +308,13 @@ def _interp_crossing(x0, y0, x1, y1, level):
 def analyze_response(
     resp: FrequencyResponse,
     level_db: float,
-    zero_floor_db: float = ZERO_FLOOR_DB,
 ) -> ResponseMetrics:
     """Measure the passband where |S11| stays at or below level_db.
 
     The band is the longest contiguous run of samples meeting the level;
     its edges are refined by interpolating the level crossings. Reflection
     zeros are counted as strict local minima of |S11| inside the band that
-    dip below zero_floor_db.
+    dip below ZERO_FLOOR_DB.
     """
     if not level_db < 0:
         raise InvalidSpecError(f"level_db must be negative, got {level_db}")
@@ -343,7 +342,7 @@ def analyze_response(
 
     zeros = 0
     for i in range(max(a, 1), min(b, f.size - 2) + 1):
-        if s11_db[i] < s11_db[i - 1] and s11_db[i] < s11_db[i + 1] and s11_db[i] <= zero_floor_db:
+        if s11_db[i] < s11_db[i - 1] and s11_db[i] < s11_db[i + 1] and s11_db[i] <= ZERO_FLOOR_DB:
             zeros += 1
 
     return ResponseMetrics(

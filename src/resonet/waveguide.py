@@ -7,12 +7,12 @@ width) and the standard dispersion of the guided wavelength above cutoff.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass
-from importlib import resources
 
-from .errors import BelowCutoffError, InvalidSpecError, UnknownPresetError
+from ._util import bundled_table, lookup
+from .errors import BelowCutoffError, InvalidSpecError
 
 C0 = 299_792_458.0  # speed of light in vacuum, m/s, exact
 
@@ -62,26 +62,18 @@ def guided_wavelength(a: float, f_hz: float) -> float:
     return (C0 / f_hz) / math.sqrt(1.0 - (fc / f_hz) ** 2)
 
 
-_presets_cache: dict[str, WaveguideSpec] | None = None
-
-
+@functools.cache
 def _load_presets() -> dict[str, WaveguideSpec]:
-    global _presets_cache
-    if _presets_cache is None:
-        raw = json.loads(
-            resources.files("resonet.data").joinpath("waveguide_bands.json").read_text()
+    return {
+        name: WaveguideSpec(
+            name=name,
+            a=rec["a_mm"] * 1e-3,
+            b=rec["b_mm"] * 1e-3,
+            band_start=rec["band_start_ghz"] * 1e9,
+            band_stop=rec["band_stop_ghz"] * 1e9,
         )
-        _presets_cache = {
-            name: WaveguideSpec(
-                name=name,
-                a=rec["a_mm"] * 1e-3,
-                b=rec["b_mm"] * 1e-3,
-                band_start=rec["band_start_ghz"] * 1e9,
-                band_stop=rec["band_stop_ghz"] * 1e9,
-            )
-            for name, rec in raw["presets"].items()
-        }
-    return _presets_cache
+        for name, rec in bundled_table("waveguide_bands.json")["presets"].items()
+    }
 
 
 def preset_names() -> tuple[str, ...]:
@@ -90,8 +82,4 @@ def preset_names() -> tuple[str, ...]:
 
 def band_preset(name: str) -> WaveguideSpec:
     """Bundled rectangular-waveguide band preset, case-insensitive lookup."""
-    presets = _load_presets()
-    for key, spec in presets.items():
-        if key.lower() == name.lower():
-            return spec
-    raise UnknownPresetError(name, sorted(presets))
+    return lookup(_load_presets(), name)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import resonet as rn
+import resonet.cli as cli
 from resonet.cli import main
 
 
@@ -339,6 +341,13 @@ def test_optimize_perturbation_draws_one_factor_per_key_in_order(table2_design, 
         ("sweep", "matrix.m", "[[0, 1], [1, 0]]", 3),
         ("sweep", "prototype.g", "[1, 1, 1]", 3),
         ("sweep", "targets.k", "[0.05]", 3),
+        ("sweep", "provenance", '"x"', 2),
+        ("sweep", "provenance", "null", 2),
+        ("optimize", "step_floor", "0", 3),
+        ("optimize", "step_floor", "-1e-9", 3),
+        ("optimize", "tol", "NaN", 3),
+        ("optimize", "seed", "-1", 3),
+        ("optimize", "free_parameters", "[]", 3),
     ],
 )
 def test_malformed_json_value_exits_2_or_3(table2_design, tmp_path, capsys, command, field, value, code):
@@ -367,11 +376,12 @@ def test_malformed_json_value_exits_2_or_3(table2_design, tmp_path, capsys, comm
 
 
 def test_malformed_seed_environment_exits_3(table2_design, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("RESONET_SEED", "abc")
     cfg = tmp_path / "opt.json"
     cfg.write_text(json.dumps({"perturb": 0.05}))
-    assert main(["optimize", "--design", str(table2_design), "--config", str(cfg)]) == 3
-    assert "RESONET_SEED" in capsys.readouterr().err
+    for seed in ("abc", "-5"):
+        monkeypatch.setenv("RESONET_SEED", seed)
+        assert main(["optimize", "--design", str(table2_design), "--config", str(cfg)]) == 3
+        assert "RESONET_SEED" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_signal_and_optimize_unloaded():
@@ -382,3 +392,34 @@ def test_cli_import_leaves_scipy_signal_and_optimize_unloaded():
     probe = "import sys, resonet.cli; print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# One instance of every error class resonet exports, with the code the cli
+# docstring gives its kind of failure.
+DOCUMENTED_EXIT_CODES = [
+    (rn.ParseError("p"), 2),
+    (rn.InvalidSpecError("i"), 3),
+    (rn.UnknownPresetError("WG0", ["WG16"]), 3),
+    (rn.BelowCutoffError("b"), 3),
+    (rn.InsufficientPeaksError(1, 2), 5),
+    (rn.InsufficientSpanError("s"), 5),
+    (rn.NoPassbandError("n"), 5),
+    (rn.NumericalError("x"), 6),
+    (rn.SingularFrequencyError("f"), 6),
+]
+
+
+def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys):
+    exported = {getattr(rn, name) for name in rn.__all__ if name.endswith("Error")} - {rn.ResonetError}
+    assert exported == {type(err) for err, _ in DOCUMENTED_EXIT_CODES}
+    documented = dict(re.findall(r"(\d) ([a-zA-Z/ ]+)", cli.__doc__.split("Exit codes:")[1]))
+    assert sorted(documented) == ["0", "2", "3", "4", "5", "6"]
+    for err, code in DOCUMENTED_EXIT_CODES:
+        assert type(err).exit_code == code
+
+        def fail(*args, err=err):
+            raise err
+
+        monkeypatch.setattr(cli, "band_preset", fail)
+        assert main(["waveguide", "WG16"]) == code
+        assert capsys.readouterr().err == f"error: {err}\n"

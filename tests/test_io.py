@@ -226,3 +226,13 @@ def test_read_response_dispatch(swept, tmp_path):
     rn.write_touchstone(ts, resp.grid, resp.s11, resp.s21, s12, s22)
     rn.write_csv(cs, resp)
     assert np.max(np.abs(rn.read_response(ts).s21 - rn.read_response(cs).s21)) < 1e-12
+
+
+def test_design_spec_may_give_fbw(xband4_design, tmp_path):
+    # the design spec is read like a synthesis config
+    record = rn.designfile.design_to_dict(xband4_design)
+    spec = record["spec"]
+    spec["fbw"] = spec.pop("bandwidth_hz") / spec["f0_hz"]
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(record))
+    assert rn.load_design(path).spec.bandwidth_hz == pytest.approx(xband4_design.spec.bandwidth_hz, rel=1e-15)

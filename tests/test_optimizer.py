@@ -176,6 +176,12 @@ def test_max_iter_validation(cm4, xband4, config4):
     problem = perturbed_problem(cm4, xband4, config4, seed=3)
     with pytest.raises(InvalidSpecError):
         rn.optimize(problem, max_iter=0)
+    # without a positive step floor a descent that no step improves never
+    # ends, and a NaN tol would report convergence
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"step_floor": 0.0}, {"step_floor": -1e-9}, {"step_floor": nan}, {"step_floor": inf}, {"tol": nan}):
+        with pytest.raises(InvalidSpecError):
+            rn.optimize(problem, **bad)
 
 
 def test_nan_cost_raises(cm4, xband4):

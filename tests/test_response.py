@@ -178,6 +178,7 @@ def test_sweep_reflection_zero_locations(cm4, xband4):
         (0.0, 11e9, 101),
         (-1e9, 11e9, 101),
         (11e9, 9e9, 101),
+        (9e9, float("inf"), 101),
     ],
 )
 def test_sweep_validation(cm4, xband4, f_start, f_stop, points):
