@@ -166,7 +166,8 @@ def _residue_ports(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray | None:
     if not np.abs(v).sum(axis=0).max() * np.abs(w).sum(axis=0).max() <= _EIGVEC_COND_LIMIT:
         return None
     residues = v[[0, -1], None, :] * w[:, [0, -1]].T  # residues[p, q, k]
-    x = np.reciprocal(s[..., None] - lam) @ residues.reshape(4, cm.n).T
+    t = s[..., None] - lam
+    x = np.reciprocal(t, out=t) @ residues.reshape(4, cm.n).T
     return x.reshape(s.shape + (2, 2))
 
 
@@ -176,9 +177,23 @@ def _guard(cm: CouplingMatrix, s, x_port, values) -> None:
     x_port holds entries of inv(A), so max|A_ij| * max|x_port| is a lower
     bound on cond2(A); a point is singular where it passes _COND_LIMIT or
     where an S-parameter is not finite (2 / qe overflows for a denormal
-    qe, or A is exactly singular). max|A_ij| comes from s plus the
-    constant diagonal of A and from the off-diagonal couplings, without
-    forming A. Callers silence the warnings.
+    qe, or A is exactly singular). max|A_ij| is the larger of the largest
+    coupling and the largest |s + d| over the distinct constants d on the
+    diagonal of A - s I, so A is never formed. Callers silence the warnings.
+    """
+    a_max = _system_matrix_max_abs(cm, s)
+    ok = (a_max[..., None, None] * np.abs(x_port) <= _COND_LIMIT) & np.isfinite(values)
+    if not ok.all():
+        bad = ~ok.all(axis=(-2, -1))
+        raise SingularFrequencyError(f"filter matrix singular at s = {s[bad][0]}")
+
+
+def _system_matrix_max_abs(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:
+    """max|A_ij| of A = system_matrix(cm, s) at every point of s.
+
+    A synchronously tuned filter has at most three distinct diagonal
+    constants, so |s + d| is formed once per distinct d, along a leading
+    axis, and reduced over it: a short trailing axis reduces slowly.
     """
     diag = -1j * cm.m.diagonal()
     diag[0] += 1.0 / cm.qe1
@@ -186,11 +201,8 @@ def _guard(cm: CouplingMatrix, s, x_port, values) -> None:
     # the entries after the first, in rows of n + 1, minus the last column:
     # a view of the off-diagonal entries
     off = np.abs(cm.m.ravel()[1:].reshape(cm.n - 1, cm.n + 1)[:, :-1]).max(initial=0.0)
-    a_max = np.maximum(np.abs(s[..., None] + diag).max(axis=-1), off)
-    ok = (a_max[..., None, None] * np.abs(x_port) <= _COND_LIMIT) & np.isfinite(values)
-    if not ok.all():
-        bad = ~ok.all(axis=(-2, -1))
-        raise SingularFrequencyError(f"filter matrix singular at s = {s[bad][0]}")
+    distinct = np.array(list(set(diag.tolist())))
+    return np.maximum(np.abs(np.add.outer(distinct, s)).max(axis=0), off)
 
 
 def s_parameters(cm: CouplingMatrix, s: complex) -> tuple[complex, complex]:
@@ -279,8 +291,11 @@ def sweep(
         raise InvalidSpecError(f"points must be an integer >= 2, got {points}")
     if not 0 < f_start_hz < f_stop_hz < math.inf:
         raise InvalidSpecError("need 0 < f_start < f_stop < inf")
-    f = np.linspace(f_start_hz, f_stop_hz, int(points))
-    sm = _scattering(cm, 1j * normalized_frequency(f, spec))
+    try:
+        f = np.linspace(f_start_hz, f_stop_hz, int(points))
+        sm = _scattering(cm, 1j * normalized_frequency(f, spec))
+    except MemoryError as err:
+        raise InvalidSpecError(f"points = {points} is too many to sweep in memory") from err
     sm.setflags(write=False)  # the response keeps views of it, not a copy
     s11, s12, s21, s22 = sm.reshape(-1, 4).T
     return FrequencyResponse(grid=f, s11=s11, s21=s21, spec=spec, s12=s12, s22=s22)

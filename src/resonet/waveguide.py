@@ -42,8 +42,8 @@ class WaveguideSpec:
 
 def cutoff_frequency(a: float) -> float:
     """TE10 cutoff frequency c / (2 a) for broad wall width a in meters."""
-    if not a > 0:
-        raise InvalidSpecError(f"broad wall width must be positive, got {a}")
+    if not 0 < a < math.inf:
+        raise InvalidSpecError(f"broad wall width must be positive and finite, got {a}")
     return C0 / (2.0 * a)
 
 
@@ -54,6 +54,8 @@ def guided_wavelength(a: float, f_hz: float) -> float:
     free-space wavelength, approaching it from above as f grows and
     diverging at cutoff.
     """
+    if not math.isfinite(f_hz):
+        raise InvalidSpecError(f"frequency must be finite, got {f_hz}")
     fc = cutoff_frequency(a)
     if not f_hz > fc:
         raise BelowCutoffError(

@@ -272,6 +272,31 @@ def test_waveguide_without_arguments_exits_3():
     assert main(["waveguide"]) == 3
 
 
+@pytest.mark.parametrize("args", [["--a-mm", "inf"], ["--a-mm", "nan"], ["WG16", "--at-ghz", "inf"],
+                                  ["--a-mm", "22.86", "--at-ghz", "inf"]])
+def test_waveguide_non_finite_input_exits_3(args, capsys):
+    assert main(["waveguide", *args]) == 3
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("site", ["linspace", "_scattering"])
+def test_sweep_out_of_memory_exits_3_naming_points(site, table2_design, tmp_path, monkeypatch, capsys):
+    # stands in for a grid too large to allocate; nothing large is allocated
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    design = rn.load_design(table2_design)
+    monkeypatch.setattr(np if site == "linspace" else rn.response, site, out_of_memory)
+    with pytest.raises(rn.InvalidSpecError, match="points = 101 "):
+        rn.sweep(design.matrix, design.spec, 9e9, 11e9, 101)
+    assert main([
+        "sweep", "--design", str(table2_design),
+        "--f-start", "9", "--f-stop", "11", "--points", "101",
+        "--format", "csv", "--out", str(tmp_path / "s.csv"),
+    ]) == 3
+    assert "points = 101 " in capsys.readouterr().err
+
+
 def test_analyze_reports_metrics(table2_design, tmp_path, capsys):
     sweep_file = tmp_path / "sweep.s2p"
     main([

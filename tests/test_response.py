@@ -11,6 +11,7 @@ from resonet.errors import (
     NoPassbandError,
     SingularFrequencyError,
 )
+from resonet.response import _system_matrix_max_abs
 
 EDGE_S11 = 0.09949943695193105  # equiripple reflection for 0.04321 dB ripple
 
@@ -133,6 +134,40 @@ def test_exactly_singular_grid_point_is_named(points, xband4):
     cm = rn.CouplingMatrix(m=np.zeros((3, 3)), qe1=1.0, qen=1.0)
     with pytest.raises(SingularFrequencyError, match=r"at s = 0j$"):
         rn.sweep_two_port(cm, xband4, 9e9, 11e9, points)
+
+
+@pytest.mark.parametrize("points", [49, 1001])  # the residue sizes at n = 3
+def test_singular_grid_point_on_a_tuned_diagonal_is_named(points, xband4):
+    # all three resonators tuned to a grid frequency, the middle one
+    # uncoupled: A is exactly singular there, and the guard sees two or
+    # three distinct diagonal constants, not n
+    w = rn.normalized_frequency(np.linspace(9e9, 11e9, points), xband4)[points // 3]
+    m = np.diag([w, w, w])
+    m[0, 2] = m[2, 0] = 0.8
+    cm = rn.CouplingMatrix(m=m, qe1=0.7, qen=1.3)
+    with pytest.raises(SingularFrequencyError) as point:
+        rn.s_matrix(cm, 1j * w)
+    with pytest.raises(SingularFrequencyError) as swept:
+        rn.sweep(cm, xband4, 9e9, 11e9, points)
+    assert str(swept.value) == str(point.value)
+
+
+@pytest.mark.parametrize("diagonal", ["zero", "repeated", "distinct"])
+def test_guard_scale_is_max_abs_of_the_system_matrix(diagonal, random_lossless):
+    # the guard's max|A_ij|, formed without A, must be exactly A's
+    rng = np.random.default_rng(14)
+    for _ in range(30):
+        cm = random_lossless(rng, rng.integers(2, 12))  # qe1 != qen
+        m = cm.m.copy()
+        if diagonal == "zero":
+            np.fill_diagonal(m, 0.0)
+        elif diagonal == "repeated":
+            np.fill_diagonal(m, rng.choice(rng.normal(size=2), size=cm.n))
+        cm = rn.CouplingMatrix(m=m, qe1=cm.qe1, qen=cm.qen)
+        for shape in ((), (6,), (200,)):
+            s = np.asarray(rng.normal(0, 3, shape) + 1j * rng.normal(0, 3, shape))
+            expected = np.abs(rn.system_matrix(cm, s)).max(axis=(-2, -1))
+            assert np.array_equal(_system_matrix_max_abs(cm, s), expected)
 
 
 def test_mapping_fixed_point_and_monotonicity(xband4):

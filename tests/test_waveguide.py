@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,6 +27,14 @@ def test_cutoff_scaling_exact():
 def test_cutoff_rejects_nonpositive():
     with pytest.raises(InvalidSpecError):
         rn.cutoff_frequency(0.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_waveguide_rejects_non_finite_width_and_frequency(value):
+    with pytest.raises(InvalidSpecError):
+        rn.cutoff_frequency(value)
+    with pytest.raises(InvalidSpecError):
+        rn.guided_wavelength(22.86e-3, value)
 
 
 def test_guided_wavelength_wg16_at_10ghz():
