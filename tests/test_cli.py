@@ -272,8 +272,7 @@ def test_waveguide_without_arguments_exits_3():
     assert main(["waveguide"]) == 3
 
 
-@pytest.mark.parametrize("args", [["--a-mm", "inf"], ["--a-mm", "nan"], ["WG16", "--at-ghz", "inf"],
-                                  ["--a-mm", "22.86", "--at-ghz", "inf"]])
+@pytest.mark.parametrize("args", [["--a-mm", "inf"], ["--a-mm", "nan"], ["--a-mm", "22.86", "--at-ghz", "inf"]])
 def test_waveguide_non_finite_input_exits_3(args, capsys):
     assert main(["waveguide", *args]) == 3
     assert "finite" in capsys.readouterr().err

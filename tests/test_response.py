@@ -138,9 +138,8 @@ def test_exactly_singular_grid_point_is_named(points, xband4):
 
 @pytest.mark.parametrize("points", [49, 1001])  # the residue sizes at n = 3
 def test_singular_grid_point_on_a_tuned_diagonal_is_named(points, xband4):
-    # all three resonators tuned to a grid frequency, the middle one
-    # uncoupled: A is exactly singular there, and the guard sees two or
-    # three distinct diagonal constants, not n
+    # all three resonators tuned to one grid frequency (a non-zero,
+    # repeated diagonal), the middle one uncoupled: A is exactly singular there
     w = rn.normalized_frequency(np.linspace(9e9, 11e9, points), xband4)[points // 3]
     m = np.diag([w, w, w])
     m[0, 2] = m[2, 0] = 0.8
