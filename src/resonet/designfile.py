@@ -8,6 +8,7 @@ precision, so parse(serialize(d)) reproduces every numeric field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -171,8 +172,34 @@ def design_from_dict(data: dict) -> DesignFile:
     )
 
 
+def _non_finite_key(value, key: str) -> str | None:
+    """The dotted key of the first non-finite float in a JSON-ready value."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else key
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return None
+    for inner_key, inner in items:
+        found = _non_finite_key(inner, f"{key}.{inner_key}")
+        if found:
+            return found
+    return None
+
+
 def save_design(design: DesignFile, path) -> None:
-    atomic_write_text(str(path), json.dumps(design_to_dict(design), indent=2) + "\n")
+    """Write the design as strict JSON; InvalidSpecError, and nothing
+    written, if a value is not finite (a ladder with a zero coupling has
+    epsilon = inf)."""
+    record = design_to_dict(design)
+    try:
+        text = json.dumps(record, indent=2, allow_nan=False)
+    except ValueError as err:
+        key = _non_finite_key(record, "design")
+        raise InvalidSpecError(f"{key} is not finite; a JSON design file holds finite numbers only") from err
+    atomic_write_text(str(path), text + "\n")
 
 
 def _read_json(path) -> dict:

@@ -5,7 +5,10 @@ S21 = P/(eps E), where the roots of E are the common poles, the roots of
 F the reflection zeros and the roots of P the transmission zeros. No
 polynomial arithmetic is needed: each root set is the spectrum of a small
 matrix derived from the pole matrix, so standard eigen-solvers do all the
-root finding.
+root finding. An inline (ladder) matrix, which every synthesized design
+is, has all its transmission zeros at infinity; that is read off its
+structure, so only a cross-coupled matrix reaches the generalized eigen
+solve and imports scipy.linalg.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .coupling import CouplingMatrix, pole_matrix
 from .errors import InvalidSpecError, NumericalError, SingularFrequencyError
@@ -97,7 +99,9 @@ def _ripple_constant(cm: CouplingMatrix, e_roots, f_roots, p_roots) -> float:
     s0 = 1j * np.imag(f_roots)
     s21 = np.abs(_scattering(cm, s0)[:, 1, 0])
     k = int(np.argmax(s21))
-    return float(abs(_prod_over_roots(p_roots, s0[k])) / (abs(_prod_over_roots(e_roots, s0[k])) * s21[k]))
+    # |S21| = 0 at every such point (a zero coupling cuts the path): eps = inf
+    with np.errstate(divide="ignore"):
+        return float(abs(_prod_over_roots(p_roots, s0[k])) / (abs(_prod_over_roots(e_roots, s0[k])) * s21[k]))
 
 
 def extract_polynomials(cm: CouplingMatrix) -> CharacteristicPolynomials:
@@ -110,7 +114,11 @@ def extract_polynomials(cm: CouplingMatrix) -> CharacteristicPolynomials:
     modified matrix. Transmission zeros solve the generalized problem
     det(s I' - M') = 0 with the first row and last column deleted; the
     deleted-identity pencil is singular, so infinite generalized
-    eigenvalues appear and are discarded as zeros at infinity. The ripple
+    eigenvalues appear and are discarded as zeros at infinity. When M has
+    no coupling two or more off its diagonal (an inline or ladder
+    matrix), M' - s I' is upper triangular with the s-free couplings
+    j m[i+1, i] on its diagonal: its determinant does not depend on s, so
+    there are no finite zeros and no eigen solve is run. The ripple
     constant is |P| / (|E| |S21|) at one point, with S21 from the
     S-parameter kernel, so it holds for detuned and cross-coupled
     matrices as well as tuned ones.
@@ -120,16 +128,22 @@ def extract_polynomials(cm: CouplingMatrix) -> CharacteristicPolynomials:
     mm = pole_matrix(cm)
     mf = mm.copy()
     mf[0, 0] += 2.0 / cm.qe1
+    sub = mm[1:, :-1]
     try:
         e_roots = np.linalg.eigvals(mm)
         f_roots = np.linalg.eigvals(mf)
-        gen = scipy.linalg.eig(mm[1:, :-1], np.eye(cm.n)[1:, :-1], right=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as err:
+        if np.any(np.tril(sub, -1)):
+            import scipy.linalg  # only cross-coupled matrices pay for the import
+
+            gen = scipy.linalg.eig(sub, np.eye(cm.n)[1:, :-1], right=False)
+            p_roots = gen[np.isfinite(gen)]
+        else:
+            p_roots = ()
+    except np.linalg.LinAlgError as err:  # scipy.linalg raises this class too
         raise NumericalError(
             f"eigen solve failed on an order-{cm.n} matrix "
             f"(cond ~ {np.linalg.cond(mm):.3e})"
         ) from err
-    p_roots = gen[np.isfinite(gen)]
     return CharacteristicPolynomials(
         e_roots=tuple(e_roots),
         f_roots=tuple(f_roots),

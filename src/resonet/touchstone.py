@@ -5,6 +5,11 @@ rows carry S11, S21, S12, S22 (9 columns), CSV rows S11, S21 only (5), so
 a CSV response has s12 and s22 None. The Touchstone reader takes any
 frequency unit from the first option line, which must precede the data
 (v1.1 voids later ones), but only RI S-parameter data.
+
+Both directions work on whole arrays: the writer formats every row with
+one `%.17g` template (17 significant digits, so each float reads back
+exactly), and the readers convert a file's numbers in one array call,
+reading row by row only to name the line of a bad row.
 """
 
 from __future__ import annotations
@@ -20,48 +25,59 @@ CSV_HEADER = "freq_hz,s11_re,s11_im,s21_re,s21_im"
 _UNIT_SCALE = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _write_rows(path, header: str, sep: str, unit: float, grid, *entries) -> None:
     """The header, then per point the frequency in `unit` Hz and (re, im) of
-    each entry. Unequal column lengths raise before anything is written."""
+    each entry, each at 17 significant digits. Unequal column lengths raise
+    before anything is written."""
     lengths = [len(column) for column in (grid, *entries)]
     if len(set(lengths)) != 1:
         raise InvalidSpecError(f"grid and S-parameter columns differ in length: {lengths}")
-    lines = [header]
-    for f, *values in zip(grid, *entries):
-        row = [_fmt(f / unit)]
-        for v in values:
-            row += [_fmt(v.real), _fmt(v.imag)]
-        lines.append(sep.join(row))
+    columns = [np.asarray(grid) / unit]
+    for entry in map(np.asarray, entries):
+        columns += [entry.real, entry.imag]
+    row = sep.join(["%.17g"] * len(columns))
+    lines = [header, *(row % tuple(values) for values in np.column_stack(columns).tolist())]
     atomic_write_text(str(path), "\n".join(lines) + "\n")
 
 
 def _parse_rows(path, lines, width: int, unit: float, sep: str | None = None) -> FrequencyResponse:
     """The response in (lineno, text) rows of frequency in `unit` Hz, then
     (re, im) of S11, S21 and, in 9 columns, S12, S22. Blank rows are skipped;
-    ParseError for a bad row (by line number), no rows or a non-increasing grid."""
-    rows = []
-    for lineno, line in lines:
-        if not line:
-            continue
-        try:
-            values = [float(tok) for tok in line.split(sep)]
-        except ValueError as err:
-            raise ParseError(f"line {lineno}: {err}") from err
-        if len(values) != width:
-            raise ParseError(f"line {lineno}: expected {width} columns, got {len(values)}")
-        rows.append(values)
+    ParseError for a bad row (by line number), no rows or a non-increasing grid.
+
+    The whole file's tokens convert in one array call; only when that
+    fails, or a row has the wrong width, are the rows read one by one to
+    name the first bad line."""
+    rows = [(lineno, text.split(sep)) for lineno, text in lines if text]
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    data = np.array(rows)
+    data = None
+    if all(len(tokens) == width for _, tokens in rows):
+        try:
+            data = np.array([tok for _, tokens in rows for tok in tokens], dtype=float).reshape(-1, width)
+        except ValueError:
+            pass
+    if data is None:
+        data = _parse_row_by_row(rows, width)
     freq = data[:, 0] * unit
     if freq.size > 1 and not np.all(np.diff(freq) > 0):
         raise ParseError(f"{path}: frequencies must be strictly increasing")
     s = data[:, 1::2] + 1j * data[:, 2::2]
     return FrequencyResponse(grid=freq, **dict(zip(("s11", "s21", "s12", "s22"), s.T)))
+
+
+def _parse_row_by_row(rows, width: int) -> np.ndarray:
+    """The (lineno, tokens) rows as a float array, or ParseError naming the
+    first row that is not `width` numbers."""
+    values = []
+    for lineno, tokens in rows:
+        try:
+            values.append([float(tok) for tok in tokens])
+        except ValueError as err:
+            raise ParseError(f"line {lineno}: {err}") from err
+        if len(tokens) != width:
+            raise ParseError(f"line {lineno}: expected {width} columns, got {len(tokens)}")
+    return np.array(values)
 
 
 def write_touchstone(path, grid_hz, s11, s21, s12, s22) -> None:

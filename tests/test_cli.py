@@ -418,6 +418,48 @@ def test_cli_import_leaves_scipy_signal_and_optimize_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def run_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports resonet from this source tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.linalg loads only for the zeros of a cross-coupled matrix
+    done = run_python("-c", "import sys, resonet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert done.returncode == 0 and done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["resonet", "resonet.cli"])
+def test_module_form_runs_the_cli(module, table2_design, tmp_path):
+    out = tmp_path / "sweep.s2p"
+    argv = ["sweep", "--design", str(table2_design), "--f-start", "9", "--f-stop", "11", "--points", "11",
+            "--out", str(out)]
+    done = run_python("-m", module, *argv)
+    assert done.returncode == 0 and len(rn.read_touchstone(out)) == 11
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    argv[2] = str(bad)
+    done = run_python("-m", module, *argv)
+    assert done.returncode == 2 and "error:" in done.stderr
+
+
+def test_design_with_infinite_epsilon_exits_3_and_writes_nothing(table2_design, tmp_path, capsys):
+    # a zero coupling cuts the ladder: S21 = 0, eps = inf, which JSON cannot hold
+    record = json.loads(table2_design.read_text())
+    record["matrix"]["m"][1][2] = record["matrix"]["m"][2][1] = 0.0
+    del record["polynomials"]
+    cut = tmp_path / "cut.json"
+    cut.write_text(json.dumps(record))
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"free_parameters": [["m", 1, 2]], "max_iter": 1}))
+    out = tmp_path / "out.json"
+    assert main(["optimize", "--design", str(cut), "--config", str(cfg), "--out", str(out)]) == 3
+    assert "epsilon is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # One instance of every error class resonet exports, with the code the cli
 # docstring gives its kind of failure.
 DOCUMENTED_EXIT_CODES = [

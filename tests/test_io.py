@@ -123,8 +123,11 @@ def test_touchstone_reader_handles_units_and_comments(tmp_path):
     path.write_text(
         "! fixture data\n"
         "# MHz S RI R 50\n"
+        "\n"
         "9000 0.1 0.0 0.9 0.0 0.9 0.0 0.1 0.0 ! row comment\n"
-        "9100 0.2 0.0 0.8 0.0 0.8 0.0 0.2 0.0\n"
+        "   \t\n"
+        "! between rows\n"
+        "9100\t0.2 0.0  0.8 0.0 0.8 0.0 0.2 0.0\n"
     )
     resp = rn.read_touchstone(path)
     assert resp.grid[0] == pytest.approx(9.0e9)
@@ -165,6 +168,69 @@ def test_touchstone_reader_rejects_bad_columns(tmp_path):
     path.write_text("# GHz S RI R 50\n9 0 0 0\n")
     with pytest.raises(ParseError, match="9 columns"):
         rn.read_touchstone(path)
+
+
+@pytest.fixture(scope="module")
+def swept_10k(xband4_design, xband4, tmp_path_factory):
+    """A 10k-point sweep written as .s2p and .csv."""
+    resp, s12, s22 = rn.sweep_two_port(xband4_design.matrix, xband4, 9e9, 11e9, 10_000)
+    folder = tmp_path_factory.mktemp("swept_10k")
+    ts, cs = folder / "sweep.s2p", folder / "sweep.csv"
+    rn.write_touchstone(ts, resp.grid, resp.s11, resp.s21, s12, s22)
+    rn.write_csv(cs, resp)
+    return ts, cs
+
+
+def reference_rows(path, sep):
+    """Every data row of a file written by resonet, one float() per token."""
+    lines = path.read_text().splitlines()[1:]
+    return np.array([[float(tok) for tok in line.split(sep)] for line in lines])
+
+
+def test_array_reader_equals_the_per_token_parse(swept_10k):
+    for path, sep in zip(swept_10k, (None, ",")):
+        data = reference_rows(path, sep)
+        resp = rn.read_response(path)
+        scale = 1e9 if sep is None else 1.0
+        assert np.array_equal(resp.grid, data[:, 0] * scale)
+        columns = [resp.s11, resp.s21] + ([resp.s12, resp.s22] if sep is None else [])
+        for i, column in enumerate(columns):
+            assert np.array_equal(column.real, data[:, 1 + 2 * i])
+            assert np.array_equal(column.imag, data[:, 2 + 2 * i])
+
+
+@pytest.mark.parametrize("lineno", [2, 5000, 10_001])
+@pytest.mark.parametrize("bad", ["0.5x", "", "1,5", "nan nan"])
+def test_array_reader_names_the_bad_line(swept_10k, tmp_path, lineno, bad):
+    for path, sep in zip(swept_10k, (" ", ",")):
+        lines = path.read_text().splitlines()
+        tokens = lines[lineno - 1].split(sep)
+        tokens[3] = bad
+        lines[lineno - 1] = sep.join(tokens)
+        broken = tmp_path / path.name
+        broken.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^line {lineno}: "):
+            rn.read_response(broken)
+
+
+@pytest.mark.parametrize("suffix", [".s2p", ".csv"])
+def test_short_and_long_rows_are_named_even_when_the_total_fits(swept_10k, tmp_path, suffix):
+    # one row short and the next one long: the token count is still a
+    # whole number of rows
+    path = swept_10k[suffix == ".csv"]
+    sep = "," if suffix == ".csv" else " "
+    width = 5 if suffix == ".csv" else 9
+    lines = path.read_text().splitlines()
+    short, long_ = lines[100].split(sep), lines[101].split(sep)
+    lines[100], lines[101] = sep.join(short[:-1]), sep.join(long_ + short[-1:])
+    broken = tmp_path / path.name
+    broken.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"^line 101: expected {width} columns, got {width - 1}$"):
+        rn.read_response(broken)
+    lines[100], lines[101] = lines[101], lines[100]
+    broken.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"^line 101: expected {width} columns, got {width + 1}$"):
+        rn.read_response(broken)
 
 
 def test_csv_round_trip_and_header(swept, tmp_path):

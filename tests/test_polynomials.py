@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import resonet as rn
-from resonet.errors import InvalidSpecError, SingularFrequencyError
+from resonet.errors import InvalidSpecError, NumericalError, SingularFrequencyError
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +101,72 @@ def test_cross_coupled_matrix_gets_finite_zeros(xband4):
     m = np.array(base.m)
     m[0, 3] = m[3, 0] = -0.15
     cp = rn.extract_polynomials(rn.CouplingMatrix(m=m, qe1=base.qe1, qen=base.qen))
-    assert len(cp.p_roots) >= 1
+    assert sorted(r.imag for r in cp.p_roots) == pytest.approx([-2.090805728946922, 2.090805728946922], abs=1e-9)
+    assert max(abs(r.real) for r in cp.p_roots) < 1e-9
+
+
+def random_inline(rng, n, kind):
+    """A random inline matrix: couplings of either sign, plus a random
+    diagonal ("diagonal"), one coupling set to zero ("zero coupling") or
+    one coupling two or more off the diagonal ("cross coupling")."""
+    k = rng.uniform(0.2, 2.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+    if kind == "zero coupling":
+        k[rng.integers(n - 1)] = 0.0
+    m = np.diag(k, 1) + np.diag(k, -1)
+    if kind == "diagonal":
+        m += np.diag(rng.normal(scale=0.3, size=n))
+    if kind == "cross coupling":
+        i = rng.integers(n - 2)
+        j = rng.integers(i + 2, n)
+        m[i, j] = m[j, i] = rng.uniform(0.05, 0.5)
+    return rn.CouplingMatrix(m=m, qe1=float(rng.uniform(0.2, 5.0)), qen=float(rng.uniform(0.2, 5.0)))
+
+
+@pytest.mark.parametrize("kind", ["no diagonal", "diagonal", "zero coupling", "cross coupling"])
+def test_transmission_zeros_match_the_generalized_eigen_solve(kind):
+    # a ladder skips the pencil; its finite set must be what the pencil gives
+    rng = np.random.default_rng(31)
+    for n in range(3 if kind == "cross coupling" else 2, 21):
+        for _ in range(5):
+            cm = random_inline(rng, n, kind)
+            mm = rn.pole_matrix(cm)
+            gen = scipy.linalg.eig(mm[1:, :-1], np.eye(n)[1:, :-1], right=False)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cp = rn.extract_polynomials(cm)
+            assert cp.p_roots == tuple(gen[np.isfinite(gen)])
+            assert (len(cp.p_roots) > 0) == (kind == "cross coupling")
+            assert (cp.epsilon == math.inf) == (kind == "zero coupling")
+
+
+def test_only_cross_coupled_matrices_import_scipy_linalg():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import sys, numpy as np, resonet as rn\n"
+        "spec = rn.bundled_filter_spec('xband-4pole')\n"
+        "cm = rn.from_couplings(rn.spec_to_couplings(spec), spec.fbw)\n"
+        "rn.extract_polynomials(cm)\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "m = np.array(cm.m); m[0, 3] = m[3, 0] = -0.15\n"
+        "print(len(rn.extract_polynomials(rn.CouplingMatrix(m=m, qe1=cm.qe1, qen=cm.qen)).p_roots))\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "2", "True"]
+
+
+@pytest.mark.parametrize("raised, expected", [(np.linalg.LinAlgError, NumericalError), (ValueError, ValueError)])
+def test_a_failed_pencil_solve_is_a_numerical_error(cm4, monkeypatch, raised, expected):
+    # the handler catches LinAlgError (scipy's is numpy's) and nothing wider
+    def fail(*args, **kwargs):
+        raise raised("no convergence")
+
+    m = np.array(cm4.m)
+    m[0, 3] = m[3, 0] = -0.15
+    monkeypatch.setattr(scipy.linalg, "eig", fail)
+    with pytest.raises(expected):
+        rn.extract_polynomials(rn.CouplingMatrix(m=m, qe1=cm4.qe1, qen=cm4.qen))
 
 
 def test_epsilon_positive_and_stable(cp4):
