@@ -18,6 +18,7 @@ from .designfile import (
     bundled_filter_spec,
     load_design,
     load_filter_config,
+    load_optimizer_config,
     save_design,
     synthesize_design,
 )
@@ -41,6 +42,7 @@ from .optimizer import (
     cost,
     ladder_free_parameters,
     optimize,
+    perturbed,
 )
 from .polynomials import (
     CharacteristicPolynomials,
@@ -122,8 +124,10 @@ __all__ = [
     "ladder_free_parameters",
     "load_design",
     "load_filter_config",
+    "load_optimizer_config",
     "normalized_frequency",
     "optimize",
+    "perturbed",
     "pole_matrix",
     "preset_names",
     "read_csv",

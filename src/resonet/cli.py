@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
@@ -17,32 +16,18 @@ import numpy as np
 
 from ._version import __version__
 from .designfile import (
-    _BOOLEAN,
-    _INTEGER,
-    _LISTS,
-    _NUMBER,
-    _STRING,
     DesignFile,
-    _read_json,
-    _require,
     bundled_design_names,
     bundled_filter_spec,
     load_design,
     load_filter_config,
+    load_optimizer_config,
     save_design,
     synthesize_design,
 )
 from .errors import InvalidSpecError, ResonetError
 from .extraction import PeakPair, extract_k, extract_qe, find_peaks
-from .optimizer import (
-    CostConfig,
-    OptimizationProblem,
-    _matrix,
-    _positions,
-    _vector,
-    ladder_free_parameters,
-    optimize,
-)
+from .optimizer import CostConfig, OptimizationProblem, ladder_free_parameters, optimize, perturbed
 from .polynomials import extract_polynomials
 from .response import analyze_response, sweep_two_port
 from .touchstone import read_response, write_csv, write_touchstone
@@ -150,13 +135,9 @@ def _cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _option(config: dict, key: str, kind, default):
-    return _require(config, key, "optimizer config", kind) if key in config else default
-
-
 def _resolve_seed(config: dict):
     if "seed" in config:
-        source, value = "seed", _require(config, "seed", "optimizer config", _INTEGER)
+        source, value = "seed", config["seed"]
     elif os.environ.get(SEED_ENV_VAR):
         source, value = SEED_ENV_VAR, os.environ[SEED_ENV_VAR]
     else:
@@ -172,49 +153,31 @@ def _resolve_seed(config: dict):
 
 def _cmd_optimize(args) -> int:
     design = load_design(args.design)
-    config = _read_json(args.config) if args.config else {}
+    config = load_optimizer_config(args.config) if args.config else {}
 
-    free = _option(config, "free_parameters", _LISTS, None)
-    free_keys = ladder_free_parameters(design.matrix.n) if free is None else tuple(map(tuple, free))
+    free = config.get("free_parameters")
     problem = OptimizationProblem(
         initial=design.matrix,
         spec=design.spec,
-        free_parameters=free_keys,
+        free_parameters=ladder_free_parameters(design.matrix.n) if free is None else free,
         cost_config=CostConfig.from_spec(design.spec),
-        allow_cross_couplings=_option(config, "allow_cross_couplings", _BOOLEAN, False),
+        allow_cross_couplings=config.get("allow_cross_couplings", False),
     )
-
-    perturb = _option(config, "perturb", _NUMBER, None)
+    perturb = config.get("perturb")
     if perturb:
-        if not 0 < perturb < math.inf:
-            raise InvalidSpecError(f"perturb must be positive and finite, got {perturb}")
-        rng = np.random.default_rng(_resolve_seed(config))
-        n = design.matrix.n
-        p = _vector(design.matrix)
-        for key in problem.free_parameters:
-            p[_positions(key, n)] *= 1.0 + rng.uniform(-perturb, perturb)
-        problem = dataclasses.replace(problem, initial=_matrix(p, n))
+        problem = perturbed(problem, np.random.default_rng(_resolve_seed(config)), perturb)
         print(f"perturbed {len(problem.free_parameters)} free parameter(s) by up to "
               f"{perturb * 100:g}%")
 
     # Only the keys the config gives: optimize's signature holds the defaults.
-    kinds = {"max_iter": _NUMBER, "tol": _NUMBER, "step_floor": _NUMBER, "method": _STRING}
-    settings = {key: _require(config, key, "optimizer config", kind)
-                for key, kind in kinds.items() if key in config}
+    settings = {key: config[key] for key in ("max_iter", "tol", "step_floor", "method") if key in config}
     result = optimize(
         problem,
         **settings,
         on_iteration=lambda i, c, s: print(f"iter {i:5d}  cost {c:.6e}  max_step {s:.3e}"),
     )
 
-    updated = DesignFile(
-        spec=design.spec,
-        prototype=design.prototype,
-        targets=design.targets,
-        matrix=result.final,
-        polynomials=extract_polynomials(result.final),
-        provenance=design.provenance,
-    )
+    updated = dataclasses.replace(design, matrix=result.final, polynomials=extract_polynomials(result.final))
     out = args.out or args.design
     save_design(updated, out)
     print(f"converged={result.converged} iterations={result.iterations} "
@@ -290,8 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="refine coupling-matrix entries against the spec")
     p.add_argument("--design", required=True)
-    p.add_argument("--config", help="JSON optimizer config (free_parameters, allow_cross_couplings, max_iter, tol, "
-                   "step_floor, perturb, seed, method: gradient, sweep or nelder-mead)")
+    p.add_argument("--config", help="JSON optimizer config, every key optional: free_parameters (list of keys, "
+                   "default the ladder couplings), allow_cross_couplings (default false), perturb (fraction, "
+                   "absent or 0: none), seed (default $" + SEED_ENV_VAR + "), max_iter (2000), tol (1e-10), "
+                   "step_floor (1e-9), method (gradient, sweep or nelder-mead; default gradient)")
     p.add_argument("--out", help="output design file (default: overwrite input)")
     p.set_defaults(func=_cmd_optimize)
 

@@ -3,6 +3,11 @@
 Design files are JSON with keys mirroring the model field names. Floats
 round-trip exactly because they are serialized at shortest-exact
 precision, so parse(serialize(d)) reproduces every numeric field.
+
+Two config formats are read here, both JSON objects: the synthesis config
+(load_filter_config: order, f0_hz, ripple_db, bandwidth_hz or fbw) and the
+optimizer config (load_optimizer_config). Design files and both configs
+are read as strict JSON: the constants NaN and Infinity are refused.
 """
 
 from __future__ import annotations
@@ -203,10 +208,13 @@ def save_design(design: DesignFile, path) -> None:
 
 
 def _read_json(path) -> dict:
+    def refuse(constant):
+        raise InvalidSpecError(f"{path}: {constant} is not a finite number; JSON inputs hold finite numbers only")
+
     with open(path) as handle:
         text = handle.read()
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=refuse)
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: line {err.lineno}, column {err.colno}: {err.msg}") from err
     if not isinstance(data, dict):
@@ -223,6 +231,48 @@ def load_filter_config(path) -> FilterSpec:
     bandwidth_hz or fbw."""
     data = _read_json(path)
     return filter_spec_from_config(data, where=str(path))
+
+
+# The optimizer config's keys and the kind each must have.
+_OPTIMIZER_KEYS = {
+    "free_parameters": _LISTS,
+    "allow_cross_couplings": _BOOLEAN,
+    "perturb": _NUMBER,
+    "seed": _INTEGER,
+    "max_iter": _NUMBER,
+    "tol": _NUMBER,
+    "step_floor": _NUMBER,
+    "method": _STRING,
+}
+
+
+def load_optimizer_config(path) -> dict:
+    """Parse an optimizer config into the keys it gives, each checked
+    against its kind (ParseError otherwise). A key the file leaves out
+    stays absent, so the default below applies; other keys are ignored.
+
+    - free_parameters: list of keys such as ["m", 1, 2], ["qe1"], ["qen"];
+      default every superdiagonal coupling (ladder_free_parameters).
+    - allow_cross_couplings: true or false; default false.
+    - perturb: number; the start's free parameters are scaled by
+      1 + U(-perturb, perturb) before refinement (optimizer.perturbed).
+      Absent or 0 means no perturbation.
+    - seed: integer, the perturbation seed; absent falls back to the
+      RESONET_SEED environment variable, then to fresh entropy.
+    - max_iter: number; default 2000.
+    - tol: number; default 1e-10.
+    - step_floor: number; default 1e-9.
+    - method: string, "gradient", "sweep" or "nelder-mead"; default
+      "gradient".
+
+    The values' ranges are checked where they are used.
+    """
+    data = _read_json(path)
+    return {
+        key: _require(data, key, "optimizer config", kind)
+        for key, kind in _OPTIMIZER_KEYS.items()
+        if key in data
+    }
 
 
 def filter_spec_from_config(data: dict, where: str = "config") -> FilterSpec:

@@ -14,7 +14,7 @@ that lower the cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -191,6 +191,25 @@ def _vector(cm: CouplingMatrix) -> np.ndarray:
 
 def _matrix(p: np.ndarray, n: int) -> CouplingMatrix:
     return CouplingMatrix(m=p[:-2].reshape(n, n), qe1=float(p[-2]), qen=float(p[-1]))
+
+
+def perturbed(problem: OptimizationProblem, rng: np.random.Generator, fraction: float) -> OptimizationProblem:
+    """The problem with every free parameter of its start scaled by its own
+    factor 1 + U(-fraction, fraction).
+
+    The factors are drawn one per free key, in the order of
+    problem.free_parameters, each by one rng.uniform(-fraction, fraction)
+    call; qe1 and qen, when free, draw their own. An m key's factor scales
+    its entry and the symmetric twin alike. Every entry outside the free
+    set, and the problem passed in, stays as it was.
+    """
+    if not 0 < fraction < math.inf:
+        raise InvalidSpecError(f"perturb must be positive and finite, got {fraction}")
+    n = problem.initial.n
+    p = _vector(problem.initial)
+    for key in problem.free_parameters:
+        p[_positions(key, n)] *= 1.0 + rng.uniform(-fraction, fraction)
+    return replace(problem, initial=_matrix(p, n))
 
 
 def _orbits(positions: list[list[int]], p: np.ndarray, n: int) -> list[np.ndarray]:

@@ -1,8 +1,10 @@
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,9 +374,21 @@ def test_optimize_perturbation_draws_one_factor_per_key_in_order(table2_design, 
         ("optimize", "tol", "NaN", 3),
         ("optimize", "seed", "-1", 3),
         ("optimize", "free_parameters", "[]", 3),
+        ("optimize", "max_iter", '"x"', 2),
+        ("optimize", "step_floor", '"x"', 2),
+        ("sweep", "polynomials.epsilon", "Infinity", 3),
+        ("sweep", "matrix.m.0.0", "NaN", 3),
     ],
 )
 def test_malformed_json_value_exits_2_or_3(table2_design, tmp_path, capsys, command, field, value, code):
+    argv = malformed_input(table2_design, tmp_path, command, field, value)
+    assert main(argv) == code
+    assert "error:" in capsys.readouterr().err
+
+
+def malformed_input(table2_design, tmp_path, command, field, value):
+    """The argv of a command whose JSON input has value at the dotted field
+    (a number in it indexes a list)."""
     path = tmp_path / "input.json"
     if command == "synthesize":
         record = {"order": 4, "f0_hz": 10e9, "fbw": 0.05, "ripple_db": 0.04321}
@@ -389,14 +403,28 @@ def test_malformed_json_value_exits_2_or_3(table2_design, tmp_path, capsys, comm
                 "--out", str(tmp_path / "o.json")]
     # The value is spliced into the JSON text: json.dumps cannot write NaN or
     # Infinity the way a hand-edited file does.
-    *parents, leaf = field.split(".")
+    *parents, leaf = [int(name) if name.isdigit() else name for name in field.split(".")]
     target = record
     for name in parents:
         target = target[name]
     target[leaf] = "VALUE"
     path.write_text(json.dumps(record).replace('"VALUE"', value))
-    assert main(argv) == code
-    assert "error:" in capsys.readouterr().err
+    return argv
+
+
+def test_json_nan_exits_3_naming_it(table2_design, tmp_path, capsys):
+    # a NaN matrix entry used to be reported as an asymmetric matrix
+    assert main(malformed_input(table2_design, tmp_path, "sweep", "matrix.m.0.0", "NaN")) == 3
+    assert "input.json: NaN is not a finite number" in capsys.readouterr().err
+
+
+def test_config_kinds_are_checked_before_values(table2_design, tmp_path, capsys):
+    # perturb's range is checked where it is used, after the read has
+    # refused tol's kind
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"perturb": -0.05, "tol": None}))
+    assert main(["optimize", "--design", str(table2_design), "--config", str(cfg)]) == 2
+    assert "'tol' must be a number" in capsys.readouterr().err
 
 
 def test_malformed_seed_environment_exits_3(table2_design, tmp_path, monkeypatch, capsys):
@@ -406,6 +434,19 @@ def test_malformed_seed_environment_exits_3(table2_design, tmp_path, monkeypatch
         monkeypatch.setenv("RESONET_SEED", seed)
         assert main(["optimize", "--design", str(table2_design), "--config", str(cfg)]) == 3
         assert "RESONET_SEED" in capsys.readouterr().err
+
+
+def test_cli_imports_no_private_name():
+    # the CLI is a client of the public API: no `from .module import _name`
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
 
 
 def test_cli_import_leaves_scipy_signal_and_optimize_unloaded():

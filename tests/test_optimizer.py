@@ -21,19 +21,11 @@ def config4(xband4):
     return rn.CostConfig.from_spec(xband4)
 
 
-def perturbed_problem(cm, spec, config, seed, amount=0.10, include_qe=False):
-    rng = np.random.default_rng(seed)
-    free = rn.ladder_free_parameters(cm.n, include_qe=include_qe)
-    m = np.array(cm.m)
-    for key in free:
-        if key[0] == "m":
-            i, j = key[1] - 1, key[2] - 1
-            m[i, j] *= 1.0 + rng.uniform(-amount, amount)
-            m[j, i] = m[i, j]
-    start = rn.CouplingMatrix(m=m, qe1=cm.qe1, qen=cm.qen)
-    return rn.OptimizationProblem(
-        initial=start, spec=spec, free_parameters=free, cost_config=config
+def perturbed_problem(cm, spec, config, seed, amount=0.10):
+    problem = rn.OptimizationProblem(
+        initial=cm, spec=spec, free_parameters=rn.ladder_free_parameters(cm.n), cost_config=config
     )
+    return rn.perturbed(problem, np.random.default_rng(seed), amount)
 
 
 def test_cost_nearly_zero_at_exact_solution(cm4, config4):
@@ -237,6 +229,30 @@ def test_symmetric_positions_normalized(cm4, xband4, config4):
         cost_config=config4,
     )
     assert problem.free_parameters == (("m", 1, 2),)
+
+
+def test_perturbed_draws_one_factor_per_free_key(cm4, xband4, config4):
+    m = np.array(cm4.m)
+    m[0, 0] = 0.1  # a diagonal offset, so scaling it shows
+    cm = rn.CouplingMatrix(m=m, qe1=cm4.qe1, qen=cm4.qen)
+    free = (("m", 3, 2), ("qe1",), ("m", 1, 1), ("qen",))
+    problem = rn.OptimizationProblem(initial=cm, spec=xband4, free_parameters=free, cost_config=config4)
+    start = rn.perturbed(problem, np.random.default_rng(11), 0.05).initial
+    f23, f1, f11, fn = 1.0 + np.random.default_rng(11).uniform(-0.05, 0.05, size=4)
+    expected = np.array(m)
+    expected[1, 2] = expected[2, 1] = m[1, 2] * f23
+    expected[0, 0] = m[0, 0] * f11
+    assert np.array_equal(start.m, expected)
+    assert (start.qe1, start.qen) == (cm.qe1 * f1, cm.qen * fn)
+    assert problem.initial is cm and np.array_equal(cm.m, m)
+    assert (cm.qe1, cm.qen) == (cm4.qe1, cm4.qen)
+
+
+@pytest.mark.parametrize("fraction", [0.0, -0.05, float("nan"), float("inf")])
+def test_perturbed_fraction_must_be_positive_and_finite(cm4, xband4, config4, fraction):
+    problem = perturbed_problem(cm4, xband4, config4, seed=1)
+    with pytest.raises(InvalidSpecError, match="perturb must be positive and finite"):
+        rn.perturbed(problem, np.random.default_rng(1), fraction)
 
 
 def test_nelder_mead_fallback(cm4, xband4, config4):
