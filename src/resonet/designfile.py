@@ -249,7 +249,9 @@ _OPTIMIZER_KEYS = {
 def load_optimizer_config(path) -> dict:
     """Parse an optimizer config into the keys it gives, each checked
     against its kind (ParseError otherwise). A key the file leaves out
-    stays absent, so the default below applies; other keys are ignored.
+    stays absent, so the default below applies. A key not listed here is
+    refused with ParseError naming it, so a misspelt setting cannot run
+    with its default.
 
     - free_parameters: list of keys such as ["m", 1, 2], ["qe1"], ["qen"];
       default every superdiagonal coupling (ladder_free_parameters).
@@ -268,6 +270,9 @@ def load_optimizer_config(path) -> dict:
     The values' ranges are checked where they are used.
     """
     data = _read_json(path)
+    unknown = sorted(set(data) - set(_OPTIMIZER_KEYS))
+    if unknown:
+        raise ParseError(f"{path}: unknown optimizer config key {unknown[0]!r}")
     return {
         key: _require(data, key, "optimizer config", kind)
         for key, kind in _OPTIMIZER_KEYS.items()

@@ -75,7 +75,7 @@ def cost(cm: CouplingMatrix, config: CostConfig) -> float:
     Raises NumericalError when a target frequency (a zero_omegas entry or
     edge_omega) is not finite, before any matrix is factored.
     """
-    s11 = _scattering(cm, 1j * _target_omegas(config))[:, 0, 0]
+    s11 = _scattering(cm, 1j * _target_omegas(config))[0, 0]
     # Term by term, in a fixed order: np.sum's pairwise order would change
     # the last bits.
     total = 0.0
@@ -106,7 +106,7 @@ def _residuals(p: np.ndarray, n: int, orbits, config: CostConfig) -> tuple[np.nd
     """
     cm = _matrix(p, n)
     sm, columns = _scattering(cm, 1j * _target_omegas(config), columns=True)
-    s11, x = sm[:, 0, 0], columns[:, :, 0]
+    s11, x = sm[0, 0], columns[:, :, 0]
     d = np.empty((s11.size, p.size), dtype=complex)
     d[:, :-2] = ((-2j / cm.qe1) * x[:, :, None] * x[:, None, :]).reshape(s11.size, -1)
     d[:, -2] = 2.0 * x[:, 0] / cm.qe1**2 * (1.0 - x[:, 0] / cm.qe1)

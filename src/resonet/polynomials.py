@@ -97,7 +97,7 @@ def _ripple_constant(cm: CouplingMatrix, e_roots, f_roots, p_roots) -> float:
     # axis: at the one where |S21| is largest, which is ~1 for a tuned
     # design and keeps the most relative accuracy on a detuned one.
     s0 = 1j * np.imag(f_roots)
-    s21 = np.abs(_scattering(cm, s0)[:, 1, 0])
+    s21 = np.abs(_scattering(cm, s0)[1, 0])
     k = int(np.argmax(s21))
     # |S21| = 0 at every such point (a zero coupling cuts the path): eps = inf
     with np.errstate(divide="ignore"):

@@ -1,13 +1,18 @@
 """S-parameter evaluation and response metrics for coupled-resonator filters.
 
 One kernel computes every S-parameter over an array of complex
-frequencies, by one of two paths chosen from the input size. Short inputs
-(the one-point s_parameters and s_matrix, the optimizer cost) build A(s)
-and solve it once per point against both port unit vectors. Long sweeps
+frequencies, by one of two paths chosen from the input size, and returns
+them port-major: S_pq over the grid is the contiguous row result[p, q].
+Short inputs (the one-point s_parameters and s_matrix, the optimizer cost)
+build A(s) and solve it once per point against both port unit vectors;
+they keep that point-major work and return a transposed view. Long sweeps
 take the pole-residue form: one eigen-decomposition of the pole matrix,
-then O(n) work per point; near an exceptional point, where that form
-loses accuracy, they fall back to LU. Both paths end in one singularity
-guard. s_parameters_cramer, a determinant/cofactor route, is the slower
+then one pole-major reciprocal and one product with the residues, O(n)
+per point; near an exceptional point, where that form loses accuracy,
+they fall back to LU. Both paths share one singularity guard. On the
+residue path one bound per matrix, sum_k |r_k| / |Re lam_k|, often proves
+that no point of the grid can fail it, and then the per-point guard is
+skipped. s_parameters_cramer, a determinant/cofactor route, is the slower
 reference the kernel is checked against, under the same guard.
 """
 
@@ -108,10 +113,14 @@ def _scattering(cm: CouplingMatrix, s, columns: bool = False):
 
     x holds the port entries of inv(A) (rows and columns first and last);
     S = I - 2 x / qe on the diagonal and 2 x / sqrt(qe1 qen) off it. The
-    result has shape s.shape + (2, 2). Grids of more than
-    _RESIDUE_POINTS_PER_POLE points per resonator and more than 48 points
-    in all take x from the pole-residue form; shorter inputs, and matrices
-    whose eigenvectors are ill-conditioned, from one LU solve per point.
+    result is port-major, of shape (2, 2) + s.shape: S_pq is result[p, q].
+    Grids of more than _RESIDUE_POINTS_PER_POLE points per resonator and
+    more than 48 points in all take x from the pole-residue form, and the
+    result owns its memory, one contiguous row per entry; there the guard
+    runs only where _no_point_can_fail cannot rule it out. Shorter inputs,
+    and matrices whose eigenvectors are ill-conditioned, take one LU solve
+    per point, build and guard the block point-major, and return a
+    transposed view of it.
 
     With columns, the LU path always runs, and the result is the pair
     (S block, columns): the full solutions of A(s) X = [e1, en], of shape
@@ -119,18 +128,31 @@ def _scattering(cm: CouplingMatrix, s, columns: bool = False):
     """
     s = np.asarray(s, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = None
-        if not columns and s.size > max(_RESIDUE_POINTS_PER_POLE * cm.n, 48):
-            x = _residue_ports(cm, s)
-        if x is None:
-            full = _lu_columns(cm, s)
-            x = full[..., [0, -1], :]
         c = 2.0 / math.sqrt(cm.qe1 * cm.qen)
-        out = np.array([[-2.0 / cm.qe1, c], [c, -2.0 / cm.qen]]) * x
+        coef = np.array([[-2.0 / cm.qe1, c], [c, -2.0 / cm.qen]])
+        if not columns and s.size > max(_RESIDUE_POINTS_PER_POLE * cm.n, 48):
+            ported = _residue_ports(cm, s)
+            if ported is not None:
+                x, bounded = ported
+                out = coef.reshape(coef.shape + (1,) * s.ndim) * x
+                out[0, 0] += 1.0
+                out[1, 1] += 1.0
+                if not (bounded and np.isfinite(coef).all()):
+                    _guard(cm, s, x, out)
+                return out
+        full = _lu_columns(cm, s)
+        x = full[..., [0, -1], :]
+        out = coef * x
         out[..., 0, 0] += 1.0
         out[..., 1, 1] += 1.0
-        _guard(cm, s, x, out)
-    return (out, full) if columns else out
+        ports = _ports_first(out)
+        _guard(cm, s, _ports_first(x), ports)
+    return (ports, full) if columns else ports
+
+
+def _ports_first(a: np.ndarray) -> np.ndarray:
+    """A view of a point-major s.shape + (2, 2) array as (2, 2) + s.shape."""
+    return a.transpose((a.ndim - 2, a.ndim - 1) + tuple(range(a.ndim - 2)))
 
 
 def _lu_columns(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:
@@ -149,14 +171,26 @@ def _lu_columns(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:
         return np.array([_lu_columns(cm, point) for point in s.ravel()]).reshape(s.shape + (cm.n, 2))
 
 
-def _residue_ports(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray | None:
-    """Port entries of inv(A(s)) from the poles and their residues.
+# The residue product runs over a grid padded to a multiple of this many
+# points. OpenBLAS's complex GEMM (0.3.31, SkylakeX kernels) takes the last
+# (P mod 4) rows of a product through a tail kernel that rounds differently;
+# on the padded grid every real point takes the main kernel, whose sums equal
+# the point-major product's bit for bit (pinned by a test).
+_GEMM_ROWS = 8
+
+
+def _residue_ports(cm: CouplingMatrix, s: np.ndarray) -> tuple[np.ndarray, bool] | None:
+    """Port entries of inv(A(s)) from the poles and their residues, and
+    whether _no_point_can_fail proves the guard moot for them.
 
     With M = V diag(lam) inv(V), inv(A(s)) = V diag(1 / (s - lam)) inv(V),
-    so entry (p, q) is sum_k V[p, k] inv(V)[k, q] / (s - lam_k): one eigen
-    solve, then O(n) work per point and no n x n matrix per point
-    (Cameron, Kudsia & Mansour, ch. 8). None when the eigen solve fails or
-    V is too ill-conditioned for the sum to keep the LU accuracy.
+    so entry (p, q) is sum_k r_pqk / (s - lam_k), r_pqk = V[p, k] inv(V)[k, q]:
+    one eigen solve, then O(n) work per point and no n x n matrix per point
+    (Cameron, Kudsia & Mansour, ch. 8). The work is pole-major: t = s - lam
+    is one (n, P) array, reciprocated in place, and x = residues @ t, of
+    shape (4, P), one contiguous row per port entry; x is returned as a
+    (2, 2) + s.shape view. None when the eigen solve fails or V is too
+    ill-conditioned for the sum to keep the LU accuracy.
     """
     try:
         lam, v = np.linalg.eig(pole_matrix(cm))
@@ -165,43 +199,76 @@ def _residue_ports(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray | None:
         return None
     if not np.abs(v).sum(axis=0).max() * np.abs(w).sum(axis=0).max() <= _EIGVEC_COND_LIMIT:
         return None
-    residues = v[[0, -1], None, :] * w[:, [0, -1]].T  # residues[p, q, k]
-    t = s[..., None] - lam
-    x = np.reciprocal(t, out=t) @ residues.reshape(4, cm.n).T
-    return x.reshape(s.shape + (2, 2))
+    residues = (v[[0, -1], None, :] * w[:, [0, -1]].T).reshape(4, cm.n)  # row 2 p + q holds r_pq
+    points = s.ravel()
+    t = np.empty((cm.n, -(-points.size // _GEMM_ROWS) * _GEMM_ROWS), dtype=complex)
+    t[:, points.size :] = 1.0
+    np.subtract(points, lam[:, None], out=t[:, : points.size])
+    x = (residues @ np.reciprocal(t, out=t))[:, : points.size]
+    return x.reshape((2, 2) + s.shape), _no_point_can_fail(cm, points, lam, residues)
+
+
+def _no_point_can_fail(cm: CouplingMatrix, s: np.ndarray, lam: np.ndarray, residues: np.ndarray) -> bool:
+    """True when one bound proves that the guard passes at every point of s.
+
+    With every pole in the open left half plane and Re s >= 0, the real
+    part of fl(s - lam_k) is fl(Re s - Re lam_k) >= -Re lam_k, rounding
+    being monotone, so |fl(s - lam_k)| >= -Re lam_k and every port entry
+    obeys |x_pq| <= sum_k |r_pqk| / (-Re lam_k). The guard's scale max|A_ij|
+    is at most max|s| + max|d| over the diagonal constants d, or the
+    largest coupling if that is larger. Their product, with 1e-9 of slack
+    for the rounding of the sums, at or below _COND_LIMIT means no point
+    passes the cond2 limit; it also bounds |x| and hence, for a finite
+    2 / qe, keeps every S-parameter finite. False in every other case,
+    including any NaN, which leaves the per-point guard to decide.
+    """
+    decay = -lam.real
+    if not (decay.min() > 0 and s.real.min() >= 0):
+        return False
+    distinct, off = _diagonal_constants(cm)
+    scale = max(np.abs(s).max() + np.abs(distinct).max(), off)
+    reach = (np.abs(residues) / decay).sum(axis=1).max()
+    return scale * reach * (1.0 + 1e-9) <= _COND_LIMIT
 
 
 def _guard(cm: CouplingMatrix, s, x_port, values) -> None:
-    """The one singularity test of every route.
+    """The one singularity test of every route, port-major.
 
-    x_port holds entries of inv(A), so max|A_ij| * max|x_port| is a lower
-    bound on cond2(A); a point is singular where it passes _COND_LIMIT or
-    where an S-parameter is not finite (2 / qe overflows for a denormal
-    qe, or A is exactly singular). max|A_ij| is the larger of the largest
-    coupling and the largest |s + d| over the distinct constants d on the
-    diagonal of A - s I, so A is never formed. Callers silence the warnings.
+    x_port holds entries of inv(A) and values the S-parameters, both of
+    shape (2, 2) + s.shape or, for the Cramer route, (2, 1) at one point.
+    max|A_ij| * max|x_port| is a lower bound on cond2(A); a point is
+    singular where it passes _COND_LIMIT or where an S-parameter is not
+    finite (2 / qe overflows for a denormal qe, or A is exactly singular).
+    max|A_ij| is the larger of the largest coupling and the largest |s + d|
+    over the distinct constants d on the diagonal of A - s I, so A is never
+    formed. The error names the first such point. Callers silence the
+    warnings.
     """
-    a_max = _system_matrix_max_abs(cm, s)
-    ok = (a_max[..., None, None] * np.abs(x_port) <= _COND_LIMIT) & np.isfinite(values)
+    ok = (_system_matrix_max_abs(cm, s) * np.abs(x_port) <= _COND_LIMIT) & np.isfinite(values)
     if not ok.all():
-        bad = ~ok.all(axis=(-2, -1))
+        bad = ~ok.all(axis=(0, 1))
         raise SingularFrequencyError(f"filter matrix singular at s = {s[bad][0]}")
 
 
-def _system_matrix_max_abs(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:
-    """max|A_ij| of A = system_matrix(cm, s) at every point of s.
-
-    A synchronously tuned filter has at most three distinct diagonal
-    constants, so |s + d| is formed once per distinct d, along a leading
-    axis, and reduced over it: a short trailing axis reduces slowly.
-    """
+def _diagonal_constants(cm: CouplingMatrix) -> tuple[np.ndarray, float]:
+    """The distinct constants d on the diagonal of A - s I, and the largest
+    |coupling| off it. A synchronously tuned filter has at most three d."""
     diag = -1j * cm.m.diagonal()
     diag[0] += 1.0 / cm.qe1
     diag[-1] += 1.0 / cm.qen
     # the entries after the first, in rows of n + 1, minus the last column:
     # a view of the off-diagonal entries
     off = np.abs(cm.m.ravel()[1:].reshape(cm.n - 1, cm.n + 1)[:, :-1]).max(initial=0.0)
-    distinct = np.array(list(set(diag.tolist())))
+    return np.array(list(set(diag.tolist()))), off
+
+
+def _system_matrix_max_abs(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:
+    """max|A_ij| of A = system_matrix(cm, s) at every point of s.
+
+    |s + d| is formed once per distinct diagonal constant d, along a
+    leading axis, and reduced over it: a short trailing axis reduces slowly.
+    """
+    distinct, off = _diagonal_constants(cm)
     return np.maximum(np.abs(np.add.outer(distinct, s)).max(axis=0), off)
 
 
@@ -240,8 +307,9 @@ def s_parameters_cramer(cm: CouplingMatrix, s: complex) -> tuple[complex, comple
 def s_matrix(cm: CouplingMatrix, s: complex) -> np.ndarray:
     """Full 2x2 scattering matrix [[S11, S12], [S21, S22]].
 
-    The one-point case of the port-solve kernel; S12 equals S21 to
-    rounding because the filter matrix is complex-symmetric (reciprocity).
+    The one-point case of the port-solve kernel (for an array s, the
+    kernel's (2, 2) + s.shape result); S12 equals S21 to rounding because
+    the filter matrix is complex-symmetric (reciprocity).
     """
     return _scattering(cm, s)
 
@@ -296,8 +364,8 @@ def sweep(
         sm = _scattering(cm, 1j * normalized_frequency(f, spec))
     except MemoryError as err:
         raise InvalidSpecError(f"points = {points} is too many to sweep in memory") from err
-    sm.setflags(write=False)  # the response keeps views of it, not a copy
-    s11, s12, s21, s22 = sm.reshape(-1, 4).T
+    sm.setflags(write=False)  # the response keeps its rows as views, not copies
+    (s11, s12), (s21, s22) = sm
     return FrequencyResponse(grid=f, s11=s11, s21=s21, spec=spec, s12=s12, s22=s22)
 
 

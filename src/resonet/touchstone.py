@@ -8,8 +8,9 @@ frequency unit from the first option line, which must precede the data
 
 Both directions work on whole arrays: the writer formats every row with
 one `%.17g` template (17 significant digits, so each float reads back
-exactly), and the readers convert a file's numbers in one array call,
-reading row by row only to name the line of a bad row.
+exactly), and the readers convert a file's numbers one block of rows at a
+time, each block in one array call, reading row by row only to name the
+line of a bad row.
 """
 
 from __future__ import annotations
@@ -40,30 +41,43 @@ def _write_rows(path, header: str, sep: str, unit: float, grid, *entries) -> Non
     atomic_write_text(str(path), "\n".join(lines) + "\n")
 
 
+# Data rows convert to floats this many at a time: a file's token strings
+# are held one block at a time, not all at once.
+_BLOCK_ROWS = 4096
+
+
 def _parse_rows(path, lines, width: int, unit: float, sep: str | None = None) -> FrequencyResponse:
     """The response in (lineno, text) rows of frequency in `unit` Hz, then
     (re, im) of S11, S21 and, in 9 columns, S12, S22. Blank rows are skipped;
     ParseError for a bad row (by line number), no rows or a non-increasing grid.
 
-    The whole file's tokens convert in one array call; only when that
-    fails, or a row has the wrong width, are the rows read one by one to
-    name the first bad line."""
-    rows = [(lineno, text.split(sep)) for lineno, text in lines if text]
+    The rows convert in blocks of _BLOCK_ROWS, each block's tokens in one
+    array call, into one preallocated array."""
+    rows = [row for row in lines if row[1]]
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    data = None
-    if all(len(tokens) == width for _, tokens in rows):
-        try:
-            data = np.array([tok for _, tokens in rows for tok in tokens], dtype=float).reshape(-1, width)
-        except ValueError:
-            pass
-    if data is None:
-        data = _parse_row_by_row(rows, width)
+    data = np.empty((len(rows), width))
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        data[start : start + _BLOCK_ROWS] = _parse_block(rows[start : start + _BLOCK_ROWS], width, sep)
     freq = data[:, 0] * unit
     if freq.size > 1 and not np.all(np.diff(freq) > 0):
         raise ParseError(f"{path}: frequencies must be strictly increasing")
     s = data[:, 1::2] + 1j * data[:, 2::2]
     return FrequencyResponse(grid=freq, **dict(zip(("s11", "s21", "s12", "s22"), s.T)))
+
+
+def _parse_block(rows, width: int, sep: str | None) -> np.ndarray:
+    """One block of (lineno, text) rows as a float array. Only when the
+    array call fails, or a row has the wrong width, are the rows read one
+    by one to name the first bad line; the blocks before it converted, so
+    that is the file's first bad line."""
+    split = [(lineno, text.split(sep)) for lineno, text in rows]
+    if all(len(tokens) == width for _, tokens in split):
+        try:
+            return np.array([tok for _, tokens in split for tok in tokens], dtype=float).reshape(-1, width)
+        except ValueError:
+            pass
+    return _parse_row_by_row(split, width)
 
 
 def _parse_row_by_row(rows, width: int) -> np.ndarray:

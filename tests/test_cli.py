@@ -231,6 +231,16 @@ def test_optimize_zero_max_iter_exits_3(table2_design, tmp_path):
     assert main(["optimize", "--design", str(table2_design), "--config", str(cfg)]) == 3
 
 
+def test_optimize_unknown_config_key_exits_2(table2_design, tmp_path, capsys):
+    # a misspelt max_iter must not run with the default of 2000
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"max_iters": 3, "method": "sweep", "perturb": 0.05, "seed": 1}))
+    out = tmp_path / "o.json"
+    assert main(["optimize", "--design", str(table2_design), "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'max_iters'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_optimize_seed_from_environment(table2_design, tmp_path, monkeypatch):
     monkeypatch.setenv("RESONET_SEED", "1234")
     cfg = tmp_path / "opt.json"

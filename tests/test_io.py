@@ -6,7 +6,7 @@ import pytest
 
 import resonet as rn
 from resonet.errors import InvalidSpecError, ParseError
-from resonet.touchstone import CSV_HEADER
+from resonet.touchstone import _BLOCK_ROWS, CSV_HEADER
 
 
 @pytest.fixture()
@@ -188,6 +188,7 @@ def reference_rows(path, sep):
 
 
 def test_array_reader_equals_the_per_token_parse(swept_10k):
+    assert 2 * _BLOCK_ROWS < 10_000  # three blocks: both boundaries are compared
     for path, sep in zip(swept_10k, (None, ",")):
         data = reference_rows(path, sep)
         resp = rn.read_response(path)
@@ -199,7 +200,8 @@ def test_array_reader_equals_the_per_token_parse(swept_10k):
             assert np.array_equal(column.imag, data[:, 2 + 2 * i])
 
 
-@pytest.mark.parametrize("lineno", [2, 5000, 10_001])
+# the last row of the first block, the first of the second, one in the third
+@pytest.mark.parametrize("lineno", [2, 5000, _BLOCK_ROWS + 1, _BLOCK_ROWS + 2, 2 * _BLOCK_ROWS + 9, 10_001])
 @pytest.mark.parametrize("bad", ["0.5x", "", "1,5", "nan nan"])
 def test_array_reader_names_the_bad_line(swept_10k, tmp_path, lineno, bad):
     for path, sep in zip(swept_10k, (" ", ",")):
@@ -207,6 +209,8 @@ def test_array_reader_names_the_bad_line(swept_10k, tmp_path, lineno, bad):
         tokens = lines[lineno - 1].split(sep)
         tokens[3] = bad
         lines[lineno - 1] = sep.join(tokens)
+        if lineno < len(lines):
+            lines[-1] = "garbage"  # a later bad row, in a later block or the same one
         broken = tmp_path / path.name
         broken.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"^line {lineno}: "):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import resonet as rn
+from resonet import response
 from resonet.errors import (
     InvalidSpecError,
     NoPassbandError,
@@ -301,6 +302,142 @@ def test_sweep_agrees_with_lu_and_cramer(case):
         s11, s21 = rn.s_parameters_cramer(cm, 1j * omega[i])
         assert max(abs(s11 - got[i, 0, 0]), abs(s21 - got[i, 1, 0])) <= 1e-9 * scale[i]
     assert np.abs(np.abs(resp.s11) ** 2 + np.abs(resp.s21) ** 2 - 1.0).max() <= 1e-10
+
+
+def point_major_residue_sweep(cm, resp, spec):
+    """S on resp's grid from the point-major residue product
+    reciprocal(s[:, None] - lam) @ residues.T, of shape (points, 4)."""
+    s = 1j * rn.normalized_frequency(resp.grid, spec)
+    lam, v = np.linalg.eig(rn.pole_matrix(cm))
+    w = np.linalg.inv(v)
+    residues = (v[[0, -1], None, :] * w[:, [0, -1]].T).reshape(4, cm.n)
+    x = np.reciprocal(s[:, None] - lam) @ residues.T
+    c = 2.0 / math.sqrt(cm.qe1 * cm.qen)
+    out = np.array([-2.0 / cm.qe1, c, c, -2.0 / cm.qen]) * x
+    out[:, [0, 3]] += 1.0
+    return out
+
+
+@pytest.mark.parametrize("points", [1001, 100_000])
+def test_sweep_is_the_point_major_residue_product_bit_for_bit(points, xband8, random_lossless):
+    rng = np.random.default_rng(15)
+    cases = [(rn.synthesize_design(xband8).matrix, xband8)]
+    for n in (3, 9, 20):
+        spec = rn.FilterSpec(order=n, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+        cases.append((rn.synthesize_design(spec).matrix, spec))
+    cases += [(random_lossless(rng, n), xband8) for n in (2, 5, 16)]
+    for cm, spec in cases:
+        for count in (points, points + 2, points + 6):  # lengths off a multiple of 8 too
+            resp = rn.sweep(cm, spec, 9e9, 11e9, count)
+            got = np.stack([resp.s11, resp.s12, resp.s21, resp.s22], axis=1)
+            assert np.array_equal(got, point_major_residue_sweep(cm, resp, spec))
+
+
+@pytest.mark.parametrize("points", [11, 1001])  # the LU and the residue sizes
+def test_sweep_response_rows_are_read_only_views_of_one_block(points, cm4, xband4):
+    resp = rn.sweep(cm4, xband4, 9e9, 11e9, points)
+    rows = (resp.s11, resp.s12, resp.s21, resp.s22)
+    block = rows[0].base
+    assert block.size == 4 * points
+    for row in rows:
+        assert row.base is block and not row.flags.writeable
+    if points > 48:  # the residue path: the kernel's own block, one contiguous row per entry
+        assert block.shape == (2, 2, points) and not block.flags.writeable
+        assert all(row.flags.c_contiguous for row in rows)
+
+
+def sweep_outcome(cm, spec, points):
+    """("ok", S rows) of a sweep, or the error's class name and message."""
+    try:
+        resp = rn.sweep(cm, spec, 9e9, 11e9, points)
+    except (SingularFrequencyError, InvalidSpecError) as err:
+        return type(err).__name__, str(err)
+    return "ok", np.stack([resp.s11, resp.s12, resp.s21, resp.s22])
+
+
+def near_singular_matrices(spec, points):
+    """Matrices whose sweep sits at or near the guard's limit on the grid."""
+    w = rn.normalized_frequency(np.linspace(9e9, 11e9, points), spec)[points // 3]
+    uncoupled = np.zeros((3, 3))  # Re lam = 0: the middle pole on the axis at 0
+    uncoupled[0, 2] = uncoupled[2, 0] = 0.8
+    yield rn.CouplingMatrix(m=uncoupled, qe1=1.0, qen=1.0)
+    yield rn.CouplingMatrix(m=uncoupled + np.diag([0.0, 0.37, 0.0]), qe1=1.0, qen=1.0)  # off the grid
+    tuned = np.diag([w, w, w])  # a repeated diagonal, the middle resonator tuned to a grid point
+    tuned[0, 2] = tuned[2, 0] = 0.8
+    yield rn.CouplingMatrix(m=tuned, qe1=0.7, qen=1.3)
+    # a weakly loaded first resonator tuned to a grid point and a detuned
+    # middle one: max|A| * |x11| there is about 1e8 * detuning. At 9995.5
+    # the bound (1e12 - 3e7) proves the guard moot; at 9997 the guard passes
+    # (1e12 - 2e8) but the bound (1e12 + 1e8) cannot show it; at 1e4 the
+    # guard fails.
+    for detuning in (1e2, 9995.5, 9997.0, 1e4, 1e6):
+        m = np.array([[w, 1e-6, 0.0], [1e-6, detuning, 0.8], [0.0, 0.8, 0.0]])
+        yield rn.CouplingMatrix(m=m, qe1=1e8, qen=1.3)
+
+
+def test_bound_skips_the_guard_only_where_the_guard_passes(monkeypatch, xband4, random_lossless):
+    # every outcome, error message and S bit, equals the per-point guard's
+    rng = np.random.default_rng(16)
+    points = 1001
+    cases = list(near_singular_matrices(xband4, points))
+    cases += [random_lossless(rng, rng.integers(2, 21)) for _ in range(40)]
+    proofs = []
+    bound = response._no_point_can_fail
+
+    def spy(*args):
+        proofs.append(bound(*args))
+        return proofs[-1]
+
+    outcomes = []
+    for cm in cases:
+        monkeypatch.setattr(response, "_no_point_can_fail", spy)
+        got = sweep_outcome(cm, xband4, points)
+        monkeypatch.setattr(response, "_no_point_can_fail", lambda *args: False)
+        expected = sweep_outcome(cm, xband4, points)
+        assert got[0] == expected[0]
+        if got[0] == "ok":
+            assert np.array_equal(got[1], expected[1])
+        else:
+            assert got[1] == expected[1]
+        outcomes.append(got[0])
+    # the grid is long enough for the residue path on every case, and both
+    # sides of the bound and of the guard occur
+    assert len(proofs) == len(cases)
+    assert True in proofs and False in proofs
+    assert "SingularFrequencyError" in outcomes and outcomes.count("ok") > len(cases) // 2
+
+
+def test_bound_needs_open_left_half_plane_poles_and_a_right_half_plane_grid(cm4):
+    # rounding can put the computed pole of a weakly coupled resonator at
+    # Re lam >= 0 (+6e-17 for couplings of 1e-11), where |r| / -Re lam
+    # bounds nothing
+    s = 1j * np.linspace(-3.0, 3.0, 1001)
+    residues = np.ones((4, 2))
+    assert response._no_point_can_fail(cm4, s, np.array([-1.0, -0.5 + 0.3j]), residues)
+    for re in (0.0, 6e-17, np.nan):
+        assert not response._no_point_can_fail(cm4, s, np.array([-1.0, re + 0.3j]), residues)
+    assert not response._no_point_can_fail(cm4, s - 1e-300, np.array([-1.0, -0.5 + 0.3j]), residues)
+
+
+def test_overflowing_port_factor_runs_the_guard_even_when_bounded(monkeypatch, xband4):
+    # 2 / qe1 overflows although 1 / qe1 does not: S is not finite anywhere
+    cm = rn.CouplingMatrix(m=np.array([[0.0, 1.0], [1.0, 0.0]]), qe1=1e-308, qen=1.0)
+    monkeypatch.setattr(response, "_no_point_can_fail", lambda *args: True)
+    with pytest.raises(SingularFrequencyError):
+        rn.sweep(cm, xband4, 9e9, 11e9, 1001)
+
+
+@pytest.mark.parametrize("name", rn.bundled_design_names())
+def test_bound_skips_the_guard_on_the_bundled_designs(name, monkeypatch):
+    def guard(*args):
+        raise AssertionError("the per-point guard ran")
+
+    spec = rn.bundled_filter_spec(name)
+    cm = rn.synthesize_design(spec).matrix
+    lo, hi = rn.band_edge_frequencies(spec)
+    monkeypatch.setattr(response, "_guard", guard)
+    resp = rn.sweep(cm, spec, lo - spec.bandwidth_hz, hi + spec.bandwidth_hz, 100_000)
+    assert len(resp) == 100_000
 
 
 def test_response_validation_rejects_bad_grids():
