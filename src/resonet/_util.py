@@ -33,8 +33,9 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def is_whole(value, least: int) -> bool:
-    """True for a finite real number >= least with no fractional part."""
-    return isinstance(value, numbers.Real) and math.isfinite(value) and least <= value == int(value)
+    """True for a finite real number >= least with no fractional part, not a bool."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and math.isfinite(value) and least <= value == int(value)
 
 
 @functools.cache

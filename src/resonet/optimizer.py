@@ -23,7 +23,7 @@ from ._util import is_whole
 from .coupling import CouplingMatrix
 from .errors import InvalidSpecError, NumericalError, SingularFrequencyError
 from .prototype import FilterSpec, _realized_ripple_db
-from .response import _scattering
+from .response import _lu_columns, _lu_ports, _s_block, _scattering
 
 _PALINDROME_RTOL = 1e-12
 
@@ -96,7 +96,8 @@ def _target_omegas(config: CostConfig) -> np.ndarray:
 def _residuals(p: np.ndarray, n: int, orbits, config: CostConfig) -> tuple[np.ndarray, np.ndarray]:
     """The residual r = [Re S11(j w_z), Im S11(j w_z), |S11(+-j)| - level],
     whose sum of squares is the cost, and its Jacobian over the orbit
-    values, from one kernel call.
+    values, from one LU solve per point through the S block and guard of
+    the kernel.
 
     A is complex-symmetric, so with x = inv(A) e1 the derivative of
     S11 = 1 - 2 x_1 / qe1 along one entry m_ij is -(2j / qe1) x_i x_j;
@@ -105,8 +106,11 @@ def _residuals(p: np.ndarray, n: int, orbits, config: CostConfig) -> tuple[np.nd
     entries share one derivative and a symmetric step.
     """
     cm = _matrix(p, n)
-    sm, columns = _scattering(cm, 1j * _target_omegas(config), columns=True)
-    s11, x = sm[0, 0], columns[:, :, 0]
+    s = 1j * _target_omegas(config)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        full = _lu_columns(cm, s)
+        s11 = _s_block(cm, s, _lu_ports(full))[0, 0]
+    x = full[:, :, 0]
     d = np.empty((s11.size, p.size), dtype=complex)
     d[:, :-2] = ((-2j / cm.qe1) * x[:, :, None] * x[:, None, :]).reshape(s11.size, -1)
     d[:, -2] = 2.0 * x[:, 0] / cm.qe1**2 * (1.0 - x[:, 0] / cm.qe1)

@@ -108,51 +108,49 @@ class ResponseMetrics:
             raise InvalidSpecError("bandwidth cannot be negative")
 
 
-def _scattering(cm: CouplingMatrix, s, columns: bool = False):
+def _scattering(cm: CouplingMatrix, s):
     """The 2x2 block [[S11, S12], [S21, S22]] at every point of s.
 
-    x holds the port entries of inv(A) (rows and columns first and last);
-    S = I - 2 x / qe on the diagonal and 2 x / sqrt(qe1 qen) off it. The
-    result is port-major, of shape (2, 2) + s.shape: S_pq is result[p, q].
-    Grids of more than _RESIDUE_POINTS_PER_POLE points per resonator and
-    more than 48 points in all take x from the pole-residue form, and the
-    result owns its memory, one contiguous row per entry; there the guard
-    runs only where _no_point_can_fail cannot rule it out. Shorter inputs,
-    and matrices whose eigenvectors are ill-conditioned, take one LU solve
-    per point, build and guard the block point-major, and return a
-    transposed view of it.
-
-    With columns, the LU path always runs, and the result is the pair
-    (S block, columns): the full solutions of A(s) X = [e1, en], of shape
-    s.shape + (n, 2), whose first column is inv(A) e1.
+    The result is port-major, of shape (2, 2) + s.shape: S_pq is
+    result[p, q]. Grids of more than _RESIDUE_POINTS_PER_POLE points per
+    resonator and more than 48 points in all take the port entries of
+    inv(A) from the pole-residue form, and the result owns its memory, one
+    contiguous row per entry; there the guard runs only where
+    _no_point_can_fail cannot rule it out. Shorter inputs, and matrices
+    whose eigenvectors are ill-conditioned, take one LU solve per point and
+    build and guard the block on a transposed view of its solutions.
     """
     s = np.asarray(s, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c = 2.0 / math.sqrt(cm.qe1 * cm.qen)
-        coef = np.array([[-2.0 / cm.qe1, c], [c, -2.0 / cm.qen]])
-        if not columns and s.size > max(_RESIDUE_POINTS_PER_POLE * cm.n, 48):
+        if s.size > max(_RESIDUE_POINTS_PER_POLE * cm.n, 48):
             ported = _residue_ports(cm, s)
             if ported is not None:
-                x, bounded = ported
-                out = coef.reshape(coef.shape + (1,) * s.ndim) * x
-                out[0, 0] += 1.0
-                out[1, 1] += 1.0
-                if not (bounded and np.isfinite(coef).all()):
-                    _guard(cm, s, x, out)
-                return out
-        full = _lu_columns(cm, s)
-        x = full[..., [0, -1], :]
-        out = coef * x
-        out[..., 0, 0] += 1.0
-        out[..., 1, 1] += 1.0
-        ports = _ports_first(out)
-        _guard(cm, s, _ports_first(x), ports)
-    return (ports, full) if columns else ports
+                return _s_block(cm, s, *ported)
+        return _s_block(cm, s, _lu_ports(_lu_columns(cm, s)))
 
 
-def _ports_first(a: np.ndarray) -> np.ndarray:
-    """A view of a point-major s.shape + (2, 2) array as (2, 2) + s.shape."""
-    return a.transpose((a.ndim - 2, a.ndim - 1) + tuple(range(a.ndim - 2)))
+def _s_block(cm: CouplingMatrix, s: np.ndarray, x: np.ndarray, bounded: bool = False) -> np.ndarray:
+    """S from x, the port entries of inv(A) (rows and columns first and
+    last), both (2, 2) + s.shape: I - 2 x / qe on the diagonal, 2 x /
+    sqrt(qe1 qen) off it. The guard runs unless _no_point_can_fail bounded
+    x and the port factors are finite; as numpy floats, a factor that
+    overflows or divides by an underflowed qe1 qen is infinite, and the
+    guard reports it. Callers silence the warnings."""
+    c = 2.0 / np.sqrt(cm.qe1 * cm.qen)
+    coef = np.array([[-2.0 / cm.qe1, c], [c, -2.0 / cm.qen]])
+    out = coef.reshape(coef.shape + (1,) * s.ndim) * x
+    out[0, 0] += 1.0
+    out[1, 1] += 1.0
+    if not (bounded and np.isfinite(coef).all()):
+        _guard(cm, s, x, out)
+    return out
+
+
+def _lu_ports(full: np.ndarray) -> np.ndarray:
+    """The port entries (rows first and last) of _lu_columns' point-major
+    s.shape + (n, 2) solutions, as a (2, 2) + s.shape view."""
+    x = full[..., [0, -1], :]
+    return x.transpose((x.ndim - 2, x.ndim - 1) + tuple(range(x.ndim - 2)))
 
 
 def _lu_columns(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:
@@ -293,13 +291,13 @@ def s_parameters_cramer(cm: CouplingMatrix, s: complex) -> tuple[complex, comple
     applies the same singularity guard to cof / det.
     """
     a = system_matrix(cm, s)
-    det = np.linalg.det(a)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = np.linalg.det(a)
         cof11 = np.linalg.det(a[1:, 1:])
         cof1n = (-1) ** (1 + cm.n) * np.linalg.det(a[1:, :-1])
         x_port = np.array([[cof11], [cof1n]]) / det
         s11 = 1.0 - (2.0 / cm.qe1) * x_port[0, 0]
-        s21 = (2.0 / math.sqrt(cm.qe1 * cm.qen)) * x_port[1, 0]
+        s21 = (2.0 / np.sqrt(cm.qe1 * cm.qen)) * x_port[1, 0]
         _guard(cm, np.asarray(s), x_port, np.array([[s11], [s21]]))
     return s11, s21
 

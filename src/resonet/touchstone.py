@@ -8,9 +8,9 @@ frequency unit from the first option line, which must precede the data
 
 Both directions work on whole arrays: the writer formats every row with
 one `%.17g` template (17 significant digits, so each float reads back
-exactly), and the readers convert a file's numbers one block of rows at a
-time, each block in one array call, reading row by row only to name the
-line of a bad row.
+exactly), and the readers convert all of a file's rows in one call of
+numpy's text reader, reading row by row only to name the line of a bad
+row or to read a token only float() reads.
 """
 
 from __future__ import annotations
@@ -41,24 +41,24 @@ def _write_rows(path, header: str, sep: str, unit: float, grid, *entries) -> Non
     atomic_write_text(str(path), "\n".join(lines) + "\n")
 
 
-# Data rows convert to floats this many at a time: a file's token strings
-# are held one block at a time, not all at once.
-_BLOCK_ROWS = 4096
+def _parse_rows(path, rows, width: int, unit: float, sep: str | None = None) -> FrequencyResponse:
+    """The response in rows of frequency in `unit` Hz, then (re, im) of S11,
+    S21 and, in 9 columns, S12, S22; rows[i] is line i + 1 and blank rows
+    are skipped. ParseError for a bad row (by line number), no rows or a
+    non-increasing grid.
 
-
-def _parse_rows(path, lines, width: int, unit: float, sep: str | None = None) -> FrequencyResponse:
-    """The response in (lineno, text) rows of frequency in `unit` Hz, then
-    (re, im) of S11, S21 and, in 9 columns, S12, S22. Blank rows are skipped;
-    ParseError for a bad row (by line number), no rows or a non-increasing grid.
-
-    The rows convert in blocks of _BLOCK_ROWS, each block's tokens in one
-    array call, into one preallocated array."""
-    rows = [row for row in lines if row[1]]
-    if not rows:
+    One call of numpy's text reader converts every row, with comments off,
+    so a # is a bad token. It reads a strict subset of what float() reads
+    (not 1_0 or non-ASCII digits), rounded the same way; when it fails or
+    gets the wrong width, the rows are read one by one."""
+    if not any(rows):
         raise ParseError(f"{path}: no data rows")
-    data = np.empty((len(rows), width))
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        data[start : start + _BLOCK_ROWS] = _parse_block(rows[start : start + _BLOCK_ROWS], width, sep)
+    try:
+        data = np.loadtxt(rows, delimiter=sep, comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != width:
+        data = _parse_row_by_row(rows, width, sep)
     freq = data[:, 0] * unit
     if freq.size > 1 and not np.all(np.diff(freq) > 0):
         raise ParseError(f"{path}: frequencies must be strictly increasing")
@@ -66,25 +66,14 @@ def _parse_rows(path, lines, width: int, unit: float, sep: str | None = None) ->
     return FrequencyResponse(grid=freq, **dict(zip(("s11", "s21", "s12", "s22"), s.T)))
 
 
-def _parse_block(rows, width: int, sep: str | None) -> np.ndarray:
-    """One block of (lineno, text) rows as a float array. Only when the
-    array call fails, or a row has the wrong width, are the rows read one
-    by one to name the first bad line; the blocks before it converted, so
-    that is the file's first bad line."""
-    split = [(lineno, text.split(sep)) for lineno, text in rows]
-    if all(len(tokens) == width for _, tokens in split):
-        try:
-            return np.array([tok for _, tokens in split for tok in tokens], dtype=float).reshape(-1, width)
-        except ValueError:
-            pass
-    return _parse_row_by_row(split, width)
-
-
-def _parse_row_by_row(rows, width: int) -> np.ndarray:
-    """The (lineno, tokens) rows as a float array, or ParseError naming the
-    first row that is not `width` numbers."""
+def _parse_row_by_row(rows, width: int, sep: str | None) -> np.ndarray:
+    """The non-blank rows as a float array, one float() per token, or
+    ParseError naming the first row that is not `width` numbers."""
     values = []
-    for lineno, tokens in rows:
+    for lineno, text in enumerate(rows, 1):
+        if not text:
+            continue
+        tokens = text.split(sep)
         try:
             values.append([float(tok) for tok in tokens])
         except ValueError as err:
@@ -110,17 +99,17 @@ def read_touchstone(path) -> FrequencyResponse:
     the response keeps all four. Raises ParseError with a line number for
     anything unreadable.
     """
-    unit, rows = None, []
     with open(path) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("!", 1)[0].strip()
-            if not line.startswith("#"):
-                rows.append((lineno, line))
-            elif unit is None:
-                if any(text for _, text in rows):
-                    raise ParseError(f"line {lineno}: the option line must precede the data")
-                unit = _parse_option_line(line, lineno)
-    return _parse_rows(path, rows, 9, unit or _UNIT_SCALE["ghz"])
+        rows = [raw.split("!", 1)[0].strip() for raw in handle]
+    unit = _UNIT_SCALE["ghz"]
+    options = [i for i, row in enumerate(rows) if row.startswith("#")]
+    if options:
+        if any(rows[: options[0]]):
+            raise ParseError(f"line {options[0] + 1}: the option line must precede the data")
+        unit = _parse_option_line(rows[options[0]], options[0] + 1)
+        for i in options:
+            rows[i] = ""
+    return _parse_rows(path, rows, 9, unit)
 
 
 def _parse_option_line(line: str, lineno: int) -> float:
@@ -151,8 +140,8 @@ def read_csv(path) -> FrequencyResponse:
         header = handle.readline().strip()
         if header != CSV_HEADER:
             raise ParseError(f"{path}: expected header {CSV_HEADER!r}, got {header!r}")
-        lines = [(lineno, raw.strip()) for lineno, raw in enumerate(handle, 2)]
-    return _parse_rows(path, lines, 5, 1.0, ",")
+        rows = ["", *(raw.strip() for raw in handle)]
+    return _parse_rows(path, rows, 5, 1.0, ",")
 
 
 def read_response(path) -> FrequencyResponse:

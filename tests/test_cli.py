@@ -368,6 +368,8 @@ def test_optimize_perturbation_draws_one_factor_per_key_in_order(table2_design, 
         ("optimize", "free_parameters", "5", 2),
         ("optimize", "free_parameters", "[5]", 2),
         ("optimize", "free_parameters", '[["m", "a", 2]]', 3),
+        ("optimize", "free_parameters", '[["m", true, 2]]', 3),
+        ("optimize", "free_parameters", '[["m", 1, true]]', 3),
         ("optimize", "seed", '"abc"', 2),
         ("optimize", "allow_cross_couplings", '"no"', 2),
         ("optimize", "allow_cross_couplings", "1", 2),

@@ -1,12 +1,13 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 import resonet as rn
 from resonet.errors import InvalidSpecError, ParseError
-from resonet.touchstone import _BLOCK_ROWS, CSV_HEADER
+from resonet.touchstone import CSV_HEADER
 
 
 @pytest.fixture()
@@ -188,7 +189,6 @@ def reference_rows(path, sep):
 
 
 def test_array_reader_equals_the_per_token_parse(swept_10k):
-    assert 2 * _BLOCK_ROWS < 10_000  # three blocks: both boundaries are compared
     for path, sep in zip(swept_10k, (None, ",")):
         data = reference_rows(path, sep)
         resp = rn.read_response(path)
@@ -200,8 +200,7 @@ def test_array_reader_equals_the_per_token_parse(swept_10k):
             assert np.array_equal(column.imag, data[:, 2 + 2 * i])
 
 
-# the last row of the first block, the first of the second, one in the third
-@pytest.mark.parametrize("lineno", [2, 5000, _BLOCK_ROWS + 1, _BLOCK_ROWS + 2, 2 * _BLOCK_ROWS + 9, 10_001])
+@pytest.mark.parametrize("lineno", [2, 5000, 4097, 4098, 8201, 10_001])
 @pytest.mark.parametrize("bad", ["0.5x", "", "1,5", "nan nan"])
 def test_array_reader_names_the_bad_line(swept_10k, tmp_path, lineno, bad):
     for path, sep in zip(swept_10k, (" ", ",")):
@@ -210,7 +209,7 @@ def test_array_reader_names_the_bad_line(swept_10k, tmp_path, lineno, bad):
         tokens[3] = bad
         lines[lineno - 1] = sep.join(tokens)
         if lineno < len(lines):
-            lines[-1] = "garbage"  # a later bad row, in a later block or the same one
+            lines[-1] = "garbage"  # a later bad row
         broken = tmp_path / path.name
         broken.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"^line {lineno}: "):
@@ -235,6 +234,55 @@ def test_short_and_long_rows_are_named_even_when_the_total_fits(swept_10k, tmp_p
     broken.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=f"^line 101: expected {width} columns, got {width + 1}$"):
         rn.read_response(broken)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("data.s2p", "# GHz S RI R 50\n9 0 0 0 0 0 0 0 0\n1_0 0 0 0.2_5 0 0 0 0 0\n"),
+        ("data.csv", f"{CSV_HEADER}\n9e9,0,0,0,0\n1_0e9,0,0,0.2_5,0\n"),
+    ],
+)
+def test_a_token_only_float_reads_still_loads(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    resp = rn.read_response(path)
+    assert np.array_equal(resp.grid, [9e9, float("1_0e9")])
+    assert resp.s21[1] == float("0.2_5")
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("data.s2p", "# GHz S RI R 50\n"),
+        ("data.s2p", "! comment\n# GHz S RI R 50\n\n   \n# MHz S RI R 50 ! void\n"),
+        ("data.csv", f"{CSV_HEADER}\n"),
+        ("data.csv", f"{CSV_HEADER}\n\n  \n"),
+    ],
+)
+def test_a_file_without_data_rows_is_refused_without_a_warning(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="no data rows"):
+            rn.read_response(path)
+
+
+@pytest.mark.parametrize(
+    "name, text, lineno",
+    [
+        ("data.s2p", "# GHz S RI R 50\n9 0 0 0 0 0 0 0 0\n9.1 0 0 0 0 0 0 0 0 # note\n", 3),
+        ("data.s2p", "# GHz S RI R 50\n9 0 0 0 0 0 0 0 0#\n", 2),
+        ("data.csv", f"{CSV_HEADER}\n9e9,0,0,0,0\n9.1e9,0,0,0,0#note\n", 3),
+        ("data.csv", f"{CSV_HEADER}\n# comment\n9e9,0,0,0,0\n", 2),
+    ],
+)
+def test_a_hash_in_a_data_row_is_a_bad_token(tmp_path, name, text, lineno):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^line {lineno}: could not convert"):
+        rn.read_response(path)
 
 
 def test_csv_round_trip_and_header(swept, tmp_path):

@@ -118,15 +118,19 @@ def test_singular_frequency_raises(cm4):
 
 
 def test_denormal_qe_raises_on_point_and_swept_routes(xband4):
-    # 2 / qe overflows to inf and meets a zero solution entry: NaN, not data
-    cm = rn.CouplingMatrix(m=np.array([[0.0, 1.0], [1.0, 0.0]]), qe1=5e-324, qen=1.0)
-    with pytest.raises(SingularFrequencyError):
-        rn.s_matrix(cm, 0.5j)
-    with pytest.raises(SingularFrequencyError):
-        rn.s_parameters(cm, 0.5j)
-    for points in (11, 1001):  # the LU and the residue sizes
+    # 2 / qe overflows to inf and meets a zero solution entry: NaN, not data;
+    # qe1 qen underflows to 0, so 2 / sqrt(qe1 qen) is inf
+    for qe1, qen in ((5e-324, 1.0), (1e-200, 1e-200)):
+        cm = rn.CouplingMatrix(m=np.array([[0.0, 1.0], [1.0, 0.0]]), qe1=qe1, qen=qen)
         with pytest.raises(SingularFrequencyError):
-            rn.sweep_two_port(cm, xband4, 9e9, 11e9, points)
+            rn.s_matrix(cm, 0.5j)
+        with pytest.raises(SingularFrequencyError):
+            rn.s_parameters(cm, 0.5j)
+        with pytest.raises(SingularFrequencyError):
+            rn.s_parameters_cramer(cm, 0.5j)
+        for points in (11, 1001):  # the LU and the residue sizes
+            with pytest.raises(SingularFrequencyError):
+                rn.sweep_two_port(cm, xband4, 9e9, 11e9, points)
 
 
 @pytest.mark.parametrize("points", [3, 1001])  # the LU and the residue sizes
