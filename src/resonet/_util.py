@@ -8,9 +8,10 @@ import math
 import numbers
 import os
 import tempfile
+from contextlib import contextmanager
 from importlib import resources
 
-from .errors import UnknownPresetError
+from .errors import ParseError, UnknownPresetError
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -30,6 +31,17 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+@contextmanager
+def open_utf8(path):
+    """path opened as UTF-8 text; bytes that do not decode, wherever they
+    are read, raise ParseError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from err
 
 
 def is_whole(value, least: int) -> bool:

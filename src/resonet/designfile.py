@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from ._util import atomic_write_text, bundled_table, lookup
+from ._util import atomic_write_text, bundled_table, lookup, open_utf8
 from ._version import __version__
 from .coupling import CouplingMatrix, from_couplings
 from .errors import InvalidSpecError, ParseError
@@ -211,7 +211,7 @@ def _read_json(path) -> dict:
     def refuse(constant):
         raise InvalidSpecError(f"{path}: {constant} is not a finite number; JSON inputs hold finite numbers only")
 
-    with open(path) as handle:
+    with open_utf8(path) as handle:
         text = handle.read()
     try:
         data = json.loads(text, parse_constant=refuse)

@@ -4,11 +4,11 @@ The cost pins the reflection zeros to their target prototype frequencies
 and the band edges to the equiripple reflection level; it is zero exactly
 when the matrix reproduces the target response. The default refinement is
 Levenberg-Marquardt least squares on the analytic Jacobian of the
-reflection, which the port solve of the cost already contains (Amari,
-IEEE T-MTT 48(9), 2000). Cyclic coordinate descent, the bench practice of
-tuning one dimension at a time, remains as the "sweep" method and as the
-fallback where the least-squares step stalls. Both accept only iterates
-that lower the cost.
+reflection (Amari, IEEE T-MTT 48(9), 2000), built from the LU solve per
+target point that gave the cost. Cyclic coordinate descent, the bench
+practice of tuning one dimension at a time, remains as the "sweep" method
+and as the fallback where the least-squares step stalls. Both accept only
+iterates that lower the cost.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from ._util import is_whole
 from .coupling import CouplingMatrix
 from .errors import InvalidSpecError, NumericalError, SingularFrequencyError
 from .prototype import FilterSpec, _realized_ripple_db
-from .response import _lu_columns, _lu_ports, _s_block, _scattering
+from .response import _lu_scattering
 
 _PALINDROME_RTOL = 1e-12
 
@@ -69,35 +69,37 @@ def cost(cm: CouplingMatrix, config: CostConfig) -> float:
     """Scalar mismatch between the matrix response and the targets.
 
     Sum of |S11|^2 at every target reflection zero plus the squared error
-    of |S11| against the equiripple level at both band edges. Non-negative
-    and zero only for an exact equiripple response.
+    of |S11| against the equiripple level at both band edges, from one LU
+    solve per target point at every order, which the Jacobian reuses.
+    Non-negative and zero only for an exact equiripple response.
 
     Raises NumericalError when a target frequency (a zero_omegas entry or
     edge_omega) is not finite, before any matrix is factored.
     """
-    s11 = _scattering(cm, 1j * _target_omegas(config))[0, 0]
-    # Term by term, in a fixed order: np.sum's pairwise order would change
-    # the last bits.
-    total = 0.0
-    for value in s11[:-2]:
-        total += abs(value) ** 2
-    for value in s11[-2:]:
-        total += (abs(value) - config.edge_s11_mag) ** 2
-    return total
+    return _target_solve(cm, config)[0]
 
 
-def _target_omegas(config: CostConfig) -> np.ndarray:
+def _target_solve(cm: CouplingMatrix, config: CostConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """The cost, x = inv(A) e1 and S11 at the targets: the optimizer's one solve."""
     omegas = np.array([*config.zero_omegas, config.edge_omega, -config.edge_omega])
     if not np.all(np.isfinite(omegas)):
         raise NumericalError(f"non-finite target frequency in {omegas[:-1]}")
-    return omegas
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        full, sm = _lu_scattering(cm, 1j * omegas)
+    # Term by term: np.sum's pairwise order would change the last bits.
+    total = 0.0
+    for value in sm[0, 0, :-2]:
+        total += abs(value) ** 2
+    for value in sm[0, 0, -2:]:
+        total += (abs(value) - config.edge_s11_mag) ** 2
+    return total, full[:, :, 0], sm[0, 0]
 
 
-def _residuals(p: np.ndarray, n: int, orbits, config: CostConfig) -> tuple[np.ndarray, np.ndarray]:
+def _residuals(p: np.ndarray, n: int, solved, orbits, config: CostConfig) -> tuple[np.ndarray, np.ndarray]:
     """The residual r = [Re S11(j w_z), Im S11(j w_z), |S11(+-j)| - level],
     whose sum of squares is the cost, and its Jacobian over the orbit
-    values, from one LU solve per point through the S block and guard of
-    the kernel.
+    values, from solved, the _target_solve already made at p. Built under
+    the kernel's errstate: an entry that overflows is left inf or NaN.
 
     A is complex-symmetric, so with x = inv(A) e1 the derivative of
     S11 = 1 - 2 x_1 / qe1 along one entry m_ij is -(2j / qe1) x_i x_j;
@@ -106,22 +108,19 @@ def _residuals(p: np.ndarray, n: int, orbits, config: CostConfig) -> tuple[np.nd
     entries share one derivative and a symmetric step.
     """
     cm = _matrix(p, n)
-    s = 1j * _target_omegas(config)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        full = _lu_columns(cm, s)
-        s11 = _s_block(cm, s, _lu_ports(full))[0, 0]
-    x = full[:, :, 0]
+    _, x, s11 = solved
     d = np.empty((s11.size, p.size), dtype=complex)
-    d[:, :-2] = ((-2j / cm.qe1) * x[:, :, None] * x[:, None, :]).reshape(s11.size, -1)
-    d[:, -2] = 2.0 * x[:, 0] / cm.qe1**2 * (1.0 - x[:, 0] / cm.qe1)
-    d[:, -1] = -2.0 / cm.qe1 * x[:, -1] ** 2 / cm.qen**2
-    zeros, edges = s11[:-2], s11[-2:]
-    mag = np.abs(edges)
-    r = np.concatenate([zeros.real, zeros.imag, mag - config.edge_s11_mag])
-    # d|S11| = Re(conj(S11) dS11) / |S11|, taken as 0 where |S11| = 0
-    edge_rows = (edges.conj()[:, None] * d[-2:]).real / np.where(mag > 0, mag, 1.0)[:, None]
-    jac = np.concatenate([d[:-2].real, d[:-2].imag, edge_rows])
-    return r, np.stack([jac[:, orbit].sum(axis=1) for orbit in orbits], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d[:, :-2] = ((-2j / cm.qe1) * x[:, :, None] * x[:, None, :]).reshape(s11.size, -1)
+        d[:, -2] = 2.0 * x[:, 0] / cm.qe1**2 * (1.0 - x[:, 0] / cm.qe1)
+        d[:, -1] = -2.0 / cm.qe1 * x[:, -1] ** 2 / cm.qen**2
+        zeros, edges = s11[:-2], s11[-2:]
+        mag = np.abs(edges)
+        r = np.concatenate([zeros.real, zeros.imag, mag - config.edge_s11_mag])
+        # d|S11| = Re(conj(S11) dS11) / |S11|, taken as 0 where |S11| = 0
+        edge_rows = (edges.conj()[:, None] * d[-2:]).real / np.where(mag > 0, mag, 1.0)[:, None]
+        jac = np.concatenate([d[:-2].real, d[:-2].imag, edge_rows])
+        return r, np.stack([jac[:, orbit].sum(axis=1) for orbit in orbits], axis=1)
 
 
 def ladder_free_parameters(order: int, include_qe: bool = False) -> tuple[ParamKey, ...]:
@@ -237,11 +236,11 @@ def _orbits(positions: list[list[int]], p: np.ndarray, n: int) -> list[np.ndarra
     return orbits
 
 
-def _checked_cost(p: np.ndarray, n: int, config: CostConfig) -> float:
-    value = cost(_matrix(p, n), config)
-    if math.isnan(value):
+def _checked_cost(p: np.ndarray, n: int, config: CostConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    solved = _target_solve(_matrix(p, n), config)
+    if math.isnan(solved[0]):
         raise NumericalError("cost evaluated to NaN")
-    return value
+    return solved
 
 
 def optimize(
@@ -308,7 +307,8 @@ def optimize(
     p = _vector(problem.initial)
     positions = [_positions(key, n) for key in problem.free_parameters]
     orbits = _orbits(positions, p, n)
-    current = _checked_cost(p, n, problem.cost_config)
+    solved = _checked_cost(p, n, problem.cost_config)
+    current = solved[0]
 
     if method == "nelder-mead":
         return _optimize_nelder_mead(problem, p, orbits, current, max_iter, tol, step_floor)
@@ -318,7 +318,7 @@ def optimize(
     if method == "gradient" and not converged:
         q = p.copy()
         budget = min(max_iter, _GRADIENT_STEPS)
-        reached, history = _levenberg_marquardt(q, n, orbits, current, problem.cost_config, budget, tol, step_floor)
+        reached, history = _levenberg_marquardt(q, n, orbits, solved, problem.cost_config, budget, tol, step_floor)
         # A run still descending at the step budget has, on the measured
         # problems, left for a valley away from the solution: drop it.
         if not (len(history) == _GRADIENT_STEPS < max_iter and reached > tol):
@@ -336,7 +336,7 @@ def optimize(
             old = p[orbit[0]]
             for sign in (1.0, -1.0):
                 p[orbit] = old + sign * steps[oi]
-                trial = _checked_cost(p, n, problem.cost_config)
+                trial = _checked_cost(p, n, problem.cost_config)[0]
                 if trial < current:
                     current = trial
                     improved = True
@@ -366,20 +366,24 @@ def optimize(
     )
 
 
-def _levenberg_marquardt(p, n, orbits, current, config, max_steps, tol, step_floor):
-    """Damped Gauss-Newton steps on the orbit values, in place on p.
+def _levenberg_marquardt(p, n, orbits, solved, config, max_steps, tol, step_floor):
+    """Damped Gauss-Newton steps on the orbit values, in place on p, from
+    solved, the _checked_cost of p.
 
     Returns the cost and the (cost, max_step) of every accepted step, once
-    the cost is at most tol, max_steps steps were taken, or no damped step
-    larger than the step floor lowers the cost. Every position of an orbit
-    takes the orbit's new value, so a palindromic p stays exactly
-    symmetric.
+    the cost is at most tol, max_steps steps were taken, no damped step
+    larger than the step floor lowers the cost, or the Jacobian is not
+    finite. Each Jacobian comes from the solve of its point's cost, the
+    start's or an accepted trial's. Every position of an orbit takes the
+    orbit's new value, so a palindromic p stays exactly symmetric.
     """
     heads = [orbit[0] for orbit in orbits]
     damping = 1e-3
     history: list[tuple[float, float]] = []
-    while current > tol and len(history) < max_steps:
-        r, jac = _residuals(p, n, orbits, config)
+    while solved[0] > tol and len(history) < max_steps:
+        r, jac = _residuals(p, n, solved, orbits, config)
+        if not np.isfinite(jac).all():
+            return solved[0], history
         # Marquardt scaling: damp each coordinate by its own curvature.
         scale = np.linalg.norm(jac, axis=0)
         scale[scale == 0.0] = 1.0
@@ -392,7 +396,7 @@ def _levenberg_marquardt(p, n, orbits, current, config, max_steps, tol, step_flo
             if not np.any(np.abs(step) >= floor):
                 for orbit, value in zip(orbits, start):
                     p[orbit] = value
-                return current, history
+                return solved[0], history
             for orbit, value in zip(orbits, start + step):
                 p[orbit] = value
             try:
@@ -400,14 +404,14 @@ def _levenberg_marquardt(p, n, orbits, current, config, max_steps, tol, step_flo
             except (InvalidSpecError, SingularFrequencyError):
                 # the step left the domain: a qe at or below zero, or a
                 # singular filter matrix at a target frequency
-                trial = math.inf
-            if trial < current:
+                trial = (math.inf,)
+            if trial[0] < solved[0]:
                 break
             damping *= 10.0
-        current = trial
+        solved = trial
         damping = max(damping / 10.0, 1e-12)
-        history.append((current, float(np.abs(step).max())))
-    return current, history
+        history.append((solved[0], float(np.abs(step).max())))
+    return solved[0], history
 
 
 def _optimize_nelder_mead(problem, p, orbits, initial_cost, max_iter, tol, step_floor):
@@ -416,7 +420,7 @@ def _optimize_nelder_mead(problem, p, orbits, initial_cost, max_iter, tol, step_
     def fun(x: Sequence[float]) -> float:
         for orbit, value in zip(orbits, x):
             p[orbit] = value
-        return _checked_cost(p, problem.initial.n, problem.cost_config)
+        return _checked_cost(p, problem.initial.n, problem.cost_config)[0]
 
     x0 = np.array([p[orbit[0]] for orbit in orbits])
     res = minimize(

@@ -3,17 +3,17 @@
 One kernel computes every S-parameter over an array of complex
 frequencies, by one of two paths chosen from the input size, and returns
 them port-major: S_pq over the grid is the contiguous row result[p, q].
-Short inputs (the one-point s_parameters and s_matrix, the optimizer cost)
-build A(s) and solve it once per point against both port unit vectors;
-they keep that point-major work and return a transposed view. Long sweeps
-take the pole-residue form: one eigen-decomposition of the pole matrix,
-then one pole-major reciprocal and one product with the residues, O(n)
-per point; near an exceptional point, where that form loses accuracy,
-they fall back to LU. Both paths share one singularity guard. On the
-residue path one bound per matrix, sum_k |r_k| / |Re lam_k|, often proves
-that no point of the grid can fail it, and then the per-point guard is
-skipped. s_parameters_cramer, a determinant/cofactor route, is the slower
-reference the kernel is checked against, under the same guard.
+Short inputs (the one-point s_parameters and s_matrix, the optimizer's
+targets at any order) build A(s) and solve it once per point against both
+port unit vectors; they keep that point-major work and return a transposed
+view. Long sweeps take the pole-residue form: one eigen-decomposition of
+the pole matrix, then one pole-major reciprocal and one product with the
+residues, O(n) per point; near an exceptional point, where that form loses
+accuracy, they fall back to LU. Both paths share one singularity guard. On
+the residue path one bound per matrix, sum_k |r_k| / |Re lam_k|, often
+proves that no point of the grid can fail it, and then the per-point guard
+is skipped. s_parameters_cramer, a determinant/cofactor route, is the
+slower reference the kernel is checked against, under the same guard.
 """
 
 from __future__ import annotations
@@ -38,14 +38,14 @@ ZERO_FLOOR_DB = -40.0
 _COND_LIMIT = 1e12
 _MAG_FLOOR = 1e-300
 
-# Inputs of more points than this per resonator, and of more than 48
-# points in all, take the pole-residue form: one eigen solve, then O(n) per
-# point, against O(n^3) per point for LU. Below it, where every cost call
-# (n + 2 points) and every one-point call sits, LU is faster and keeps its
-# exact results. Break-even measured at 30 to 60 points for n = 2 to 20 on
-# a 2-core x86 VM (OpenBLAS); the floor of 48 keeps LU where 4 n points
-# are too few to pay for the eigen solve (at n = 4 and 16 points, LU takes
-# 42 us and the residue form 73 us).
+# Inputs of more points than this per resonator, and of more than 48 points
+# in all, take the pole-residue form: one eigen solve, then O(n) per point,
+# against O(n^3) per point for LU. Below it, where every one-point call
+# sits, LU is faster and keeps its exact results; the optimizer's targets
+# take LU at every order (_lu_scattering). Break-even measured at 30 to 60
+# points for n = 2 to 20 on a 2-core x86 VM (OpenBLAS); the floor of 48
+# keeps LU where 4 n points are too few to pay for the eigen solve (at n = 4
+# and 16 points, LU takes 42 us and the residue form 73 us).
 _RESIDUE_POINTS_PER_POLE = 4
 
 # The residue form loses about 1e-16 * cond(V) against LU, and cond(V)
@@ -126,7 +126,7 @@ def _scattering(cm: CouplingMatrix, s):
             ported = _residue_ports(cm, s)
             if ported is not None:
                 return _s_block(cm, s, *ported)
-        return _s_block(cm, s, _lu_ports(_lu_columns(cm, s)))
+        return _lu_scattering(cm, s)[1]
 
 
 def _s_block(cm: CouplingMatrix, s: np.ndarray, x: np.ndarray, bounded: bool = False) -> np.ndarray:
@@ -146,11 +146,11 @@ def _s_block(cm: CouplingMatrix, s: np.ndarray, x: np.ndarray, bounded: bool = F
     return out
 
 
-def _lu_ports(full: np.ndarray) -> np.ndarray:
-    """The port entries (rows first and last) of _lu_columns' point-major
-    s.shape + (n, 2) solutions, as a (2, 2) + s.shape view."""
-    x = full[..., [0, -1], :]
-    return x.transpose((x.ndim - 2, x.ndim - 1) + tuple(range(x.ndim - 2)))
+def _lu_scattering(cm: CouplingMatrix, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_lu_columns' point-major s.shape + (n, 2) solutions, and S from
+    _s_block on a (2, 2) + s.shape view of their port rows."""
+    full = _lu_columns(cm, s)
+    return full, _s_block(cm, s, np.moveaxis(full[..., [0, -1], :], (-2, -1), (0, 1)))
 
 
 def _lu_columns(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import atomic_write_text, open_utf8
 from .errors import InvalidSpecError, ParseError
 from .response import FrequencyResponse
 
@@ -99,7 +99,7 @@ def read_touchstone(path) -> FrequencyResponse:
     the response keeps all four. Raises ParseError with a line number for
     anything unreadable.
     """
-    with open(path) as handle:
+    with open_utf8(path) as handle:
         rows = [raw.split("!", 1)[0].strip() for raw in handle]
     unit = _UNIT_SCALE["ghz"]
     options = [i for i, row in enumerate(rows) if row.startswith("#")]
@@ -136,7 +136,7 @@ def write_csv(path, resp: FrequencyResponse) -> None:
 
 def read_csv(path) -> FrequencyResponse:
     """Parse a CSV file of write_csv's layout; s12 and s22 are None."""
-    with open(path) as handle:
+    with open_utf8(path) as handle:
         header = handle.readline().strip()
         if header != CSV_HEADER:
             raise ParseError(f"{path}: expected header {CSV_HEADER!r}, got {header!r}")

@@ -241,6 +241,65 @@ def test_optimize_unknown_config_key_exits_2(table2_design, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_optimize_with_an_overflowing_jacobian_keeps_the_start(tmp_path, capsys):
+    # With qe1 = qen = 1e-160 the qe columns of the least-squares Jacobian
+    # overflow while S stays finite: the run ends as a stalled one does and
+    # the sweep goes on from there, instead of exiting 1 from the SVD.
+    design = tmp_path / "tiny-qe.json"
+    assert main(["synthesize", "--preset", "xband-4pole", "--out", str(design)]) == 0
+    record = json.loads(design.read_text())
+    record["matrix"]["qe1"] = record["matrix"]["qen"] = 1e-160
+    design.write_text(json.dumps(record))
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"free_parameters": [["qe1"], ["qen"], ["m", 1, 2]], "max_iter": 20}))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(["optimize", "--design", str(design), "--config", str(cfg), "--out", str(out)]) == 0
+    assert "converged=False" in capsys.readouterr().out
+    start = rn.load_design(design)
+    config = rn.CostConfig.from_spec(start.spec)
+    assert rn.cost(rn.load_design(out).matrix, config) == pytest.approx(rn.cost(start.matrix, config), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind, command",
+    [
+        ("s2p", "analyze"),
+        ("s2p", "extract"),
+        ("csv", "analyze"),
+        ("design", "sweep"),
+        ("design", "optimize"),
+        ("synthesis config", "synthesize"),
+        ("optimizer config", "optimize"),
+    ],
+)
+def test_non_utf8_input_exits_2_naming_the_file(kind, command, table2_config, table2_design, tmp_path, capsys):
+    # a 0xff byte used to escape as a UnicodeDecodeError traceback (exit 1)
+    opt_config = tmp_path / "opt.json"
+    opt_config.write_text(json.dumps({"perturb": 0.05, "seed": 1}))
+    inputs = {"design": table2_design, "synthesis config": table2_config, "optimizer config": opt_config}
+    for ext, fmt in (("s2p", "touchstone"), ("csv", "csv")):
+        inputs[ext] = tmp_path / f"valid.{ext}"
+        assert main(["sweep", "--design", str(table2_design), "--f-start", "9", "--f-stop", "11",
+                     "--points", "201", "--format", fmt, "--out", str(inputs[ext])]) == 0
+    raw = inputs[kind].read_bytes()
+    bad = inputs[kind] = tmp_path / f"bad{inputs[kind].suffix}"
+    bad.write_bytes(raw[: len(raw) // 2] + b"\xff" + raw[len(raw) // 2 :])
+    response = inputs["csv" if kind == "csv" else "s2p"]
+    argv = {
+        "analyze": ["analyze", "--response", str(response)],
+        "extract": ["extract", "--response", str(response), "--mode", "k"],
+        "sweep": ["sweep", "--design", str(inputs["design"]), "--f-start", "9", "--f-stop", "11",
+                  "--out", str(tmp_path / "s.s2p")],
+        "synthesize": ["synthesize", "--config", str(inputs["synthesis config"]), "--out", str(tmp_path / "d.json")],
+        "optimize": ["optimize", "--design", str(inputs["design"]), "--config", str(inputs["optimizer config"]),
+                     "--out", str(tmp_path / "o.json")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+
+
 def test_optimize_seed_from_environment(table2_design, tmp_path, monkeypatch):
     monkeypatch.setenv("RESONET_SEED", "1234")
     cfg = tmp_path / "opt.json"

@@ -5,7 +5,7 @@ import pytest
 
 import resonet as rn
 from resonet.errors import InvalidSpecError, NumericalError
-from resonet.optimizer import _orbits, _positions, _residuals, _vector
+from resonet.optimizer import _checked_cost, _orbits, _positions, _residuals, _vector
 
 # The descent methods that share the monotone, deterministic contract.
 DESCENT_METHODS = ("sweep", "gradient")
@@ -390,17 +390,37 @@ def test_jacobian_matches_central_differences(order):
     orbit_counts = []
     for p, orbits, config in jacobian_cases(order, rng):
         orbit_counts.append(len(orbits))
-        r, jac = _residuals(p, order, orbits, config)
+        residuals = lambda q: _residuals(q, order, _checked_cost(q, order, config), orbits, config)
+        r, jac = residuals(p)
         assert jac.shape == (r.size, len(orbits))
         for k, orbit in enumerate(orbits):
             h = 1e-6 * max(1.0, abs(p[orbit[0]]))
             plus, minus = p.copy(), p.copy()
             plus[orbit] += h
             minus[orbit] -= h
-            column = (_residuals(plus, order, orbits, config)[0] - _residuals(minus, order, orbits, config)[0]) / (2 * h)
+            column = (residuals(plus)[0] - residuals(minus)[0]) / (2 * h)
             assert np.abs(jac[:, k] - column).max() <= 1e-6 * max(1.0, np.abs(column).max())
     # mirrored keys share an orbit at the palindromic point only
     assert orbit_counts[0] < orbit_counts[1]
+
+
+def test_least_squares_solves_no_point_twice(cm4, xband4, config4, monkeypatch):
+    # Each Jacobian is built from the LU solve its point's cost came from.
+    # From this start least squares reaches tol by itself (3 steps), so no
+    # sweep runs.
+    seen = []
+    lu_scattering = rn.optimizer._lu_scattering
+
+    def spy(cm, s):
+        seen.append((cm.m.tobytes(), cm.qe1, cm.qen))
+        return lu_scattering(cm, s)
+
+    monkeypatch.setattr("resonet.optimizer._lu_scattering", spy)
+    problem = perturbed_problem(cm4, xband4, config4, seed=7, amount=0.05)
+    result = rn.optimize(problem, method="gradient")
+    assert result.converged and result.final_cost <= 1e-10
+    assert len(seen) > result.iterations > 0
+    assert len(set(seen)) == len(seen)
 
 
 @pytest.mark.parametrize("order", range(4, 21))
