@@ -65,22 +65,21 @@ class CostConfig:
         return cls(zero_omegas=zeros, edge_s11_mag=eps / math.sqrt(1.0 + eps * eps))
 
 
+class _Solved(float):
+    """A cost that keeps the LU solve, one per target point, it came from,
+    for the Jacobian: the matrix cm, and x = inv(A) e1 and S11 there."""
+
+
 def cost(cm: CouplingMatrix, config: CostConfig) -> float:
     """Scalar mismatch between the matrix response and the targets.
 
     Sum of |S11|^2 at every target reflection zero plus the squared error
-    of |S11| against the equiripple level at both band edges, from one LU
-    solve per target point at every order, which the Jacobian reuses.
-    Non-negative and zero only for an exact equiripple response.
+    of |S11| against the equiripple level at both band edges. Non-negative
+    and zero only for an exact equiripple response; it keeps its LU solve.
 
     Raises NumericalError when a target frequency (a zero_omegas entry or
     edge_omega) is not finite, before any matrix is factored.
     """
-    return _target_solve(cm, config)[0]
-
-
-def _target_solve(cm: CouplingMatrix, config: CostConfig) -> tuple[float, np.ndarray, np.ndarray]:
-    """The cost, x = inv(A) e1 and S11 at the targets: the optimizer's one solve."""
     omegas = np.array([*config.zero_omegas, config.edge_omega, -config.edge_omega])
     if not np.all(np.isfinite(omegas)):
         raise NumericalError(f"non-finite target frequency in {omegas[:-1]}")
@@ -92,14 +91,16 @@ def _target_solve(cm: CouplingMatrix, config: CostConfig) -> tuple[float, np.nda
         total += abs(value) ** 2
     for value in sm[0, 0, -2:]:
         total += (abs(value) - config.edge_s11_mag) ** 2
-    return total, full[:, :, 0], sm[0, 0]
+    solved = _Solved(total)
+    solved.cm, solved.x, solved.s11 = cm, full[:, :, 0], sm[0, 0]
+    return solved
 
 
-def _residuals(p: np.ndarray, n: int, solved, orbits, config: CostConfig) -> tuple[np.ndarray, np.ndarray]:
+def _residuals(solved: _Solved, orbits, config: CostConfig) -> tuple[np.ndarray, np.ndarray]:
     """The residual r = [Re S11(j w_z), Im S11(j w_z), |S11(+-j)| - level],
     whose sum of squares is the cost, and its Jacobian over the orbit
-    values, from solved, the _target_solve already made at p. Built under
-    the kernel's errstate: an entry that overflows is left inf or NaN.
+    values, from the LU solve that the cost `solved` keeps; an entry that
+    overflows is left inf or NaN.
 
     A is complex-symmetric, so with x = inv(A) e1 the derivative of
     S11 = 1 - 2 x_1 / qe1 along one entry m_ij is -(2j / qe1) x_i x_j;
@@ -107,9 +108,8 @@ def _residuals(p: np.ndarray, n: int, solved, orbits, config: CostConfig) -> tup
     the port term. An orbit's column sums its positions in p, so mirrored
     entries share one derivative and a symmetric step.
     """
-    cm = _matrix(p, n)
-    _, x, s11 = solved
-    d = np.empty((s11.size, p.size), dtype=complex)
+    cm, x, s11 = solved.cm, solved.x, solved.s11
+    d = np.empty((s11.size, cm.n * cm.n + 2), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d[:, :-2] = ((-2j / cm.qe1) * x[:, :, None] * x[:, None, :]).reshape(s11.size, -1)
         d[:, -2] = 2.0 * x[:, 0] / cm.qe1**2 * (1.0 - x[:, 0] / cm.qe1)
@@ -236,11 +236,11 @@ def _orbits(positions: list[list[int]], p: np.ndarray, n: int) -> list[np.ndarra
     return orbits
 
 
-def _checked_cost(p: np.ndarray, n: int, config: CostConfig) -> tuple[float, np.ndarray, np.ndarray]:
-    solved = _target_solve(_matrix(p, n), config)
-    if math.isnan(solved[0]):
+def _checked_cost(p: np.ndarray, n: int, config: CostConfig) -> _Solved:
+    value = cost(_matrix(p, n), config)
+    if math.isnan(value):
         raise NumericalError("cost evaluated to NaN")
-    return solved
+    return value
 
 
 def optimize(
@@ -307,8 +307,7 @@ def optimize(
     p = _vector(problem.initial)
     positions = [_positions(key, n) for key in problem.free_parameters]
     orbits = _orbits(positions, p, n)
-    solved = _checked_cost(p, n, problem.cost_config)
-    current = solved[0]
+    current = _checked_cost(p, n, problem.cost_config)
 
     if method == "nelder-mead":
         return _optimize_nelder_mead(problem, p, orbits, current, max_iter, tol, step_floor)
@@ -318,7 +317,7 @@ def optimize(
     if method == "gradient" and not converged:
         q = p.copy()
         budget = min(max_iter, _GRADIENT_STEPS)
-        reached, history = _levenberg_marquardt(q, n, orbits, solved, problem.cost_config, budget, tol, step_floor)
+        reached, history = _levenberg_marquardt(q, n, orbits, current, problem.cost_config, budget, tol, step_floor)
         # A run still descending at the step budget has, on the measured
         # problems, left for a valley away from the solution: drop it.
         if not (len(history) == _GRADIENT_STEPS < max_iter and reached > tol):
@@ -336,14 +335,14 @@ def optimize(
             old = p[orbit[0]]
             for sign in (1.0, -1.0):
                 p[orbit] = old + sign * steps[oi]
-                trial = _checked_cost(p, n, problem.cost_config)[0]
+                trial = _checked_cost(p, n, problem.cost_config)
                 if trial < current:
                     current = trial
                     improved = True
                     break
                 p[orbit] = old
         if on_iteration is not None:
-            on_iteration(iterations, current, max(steps))
+            on_iteration(iterations, float(current), max(steps))
         if current <= tol:
             converged = True
             break
@@ -360,30 +359,29 @@ def optimize(
 
     return OptimizationResult(
         final=_matrix(p, n),
-        final_cost=current,
+        final_cost=float(current),
         iterations=iterations,
         converged=converged,
     )
 
 
-def _levenberg_marquardt(p, n, orbits, solved, config, max_steps, tol, step_floor):
-    """Damped Gauss-Newton steps on the orbit values, in place on p, from
-    solved, the _checked_cost of p.
+def _levenberg_marquardt(p, n, orbits, current, config, max_steps, tol, step_floor):
+    """Damped Gauss-Newton steps on the orbit values, in place on p, each
+    from the Jacobian that its point's cost (start or accepted trial) keeps.
 
     Returns the cost and the (cost, max_step) of every accepted step, once
     the cost is at most tol, max_steps steps were taken, no damped step
     larger than the step floor lowers the cost, or the Jacobian is not
-    finite. Each Jacobian comes from the solve of its point's cost, the
-    start's or an accepted trial's. Every position of an orbit takes the
-    orbit's new value, so a palindromic p stays exactly symmetric.
+    finite. Every position of an orbit takes the orbit's new value, so a
+    palindromic p stays exactly symmetric.
     """
     heads = [orbit[0] for orbit in orbits]
     damping = 1e-3
     history: list[tuple[float, float]] = []
-    while solved[0] > tol and len(history) < max_steps:
-        r, jac = _residuals(p, n, solved, orbits, config)
+    while current > tol and len(history) < max_steps:
+        r, jac = _residuals(current, orbits, config)
         if not np.isfinite(jac).all():
-            return solved[0], history
+            return current, history
         # Marquardt scaling: damp each coordinate by its own curvature.
         scale = np.linalg.norm(jac, axis=0)
         scale[scale == 0.0] = 1.0
@@ -396,7 +394,7 @@ def _levenberg_marquardt(p, n, orbits, solved, config, max_steps, tol, step_floo
             if not np.any(np.abs(step) >= floor):
                 for orbit, value in zip(orbits, start):
                     p[orbit] = value
-                return solved[0], history
+                return current, history
             for orbit, value in zip(orbits, start + step):
                 p[orbit] = value
             try:
@@ -404,14 +402,14 @@ def _levenberg_marquardt(p, n, orbits, solved, config, max_steps, tol, step_floo
             except (InvalidSpecError, SingularFrequencyError):
                 # the step left the domain: a qe at or below zero, or a
                 # singular filter matrix at a target frequency
-                trial = (math.inf,)
-            if trial[0] < solved[0]:
+                trial = math.inf
+            if trial < current:
                 break
             damping *= 10.0
-        solved = trial
+        current = trial
         damping = max(damping / 10.0, 1e-12)
-        history.append((solved[0], float(np.abs(step).max())))
-    return solved[0], history
+        history.append((float(current), float(np.abs(step).max())))
+    return current, history
 
 
 def _optimize_nelder_mead(problem, p, orbits, initial_cost, max_iter, tol, step_floor):
@@ -420,7 +418,7 @@ def _optimize_nelder_mead(problem, p, orbits, initial_cost, max_iter, tol, step_
     def fun(x: Sequence[float]) -> float:
         for orbit, value in zip(orbits, x):
             p[orbit] = value
-        return _checked_cost(p, problem.initial.n, problem.cost_config)[0]
+        return _checked_cost(p, problem.initial.n, problem.cost_config)
 
     x0 = np.array([p[orbit[0]] for orbit in orbits])
     res = minimize(
@@ -436,7 +434,7 @@ def _optimize_nelder_mead(problem, p, orbits, initial_cost, max_iter, tol, step_
     final_cost = fun(res.x) if res.fun <= initial_cost else fun(x0)
     return OptimizationResult(
         final=_matrix(p, problem.initial.n),
-        final_cost=final_cost,
+        final_cost=float(final_cost),
         iterations=int(res.nit),
         converged=bool(final_cost <= tol or res.success),
     )

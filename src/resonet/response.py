@@ -150,7 +150,7 @@ def _lu_scattering(cm: CouplingMatrix, s: np.ndarray) -> tuple[np.ndarray, np.nd
     """_lu_columns' point-major s.shape + (n, 2) solutions, and S from
     _s_block on a (2, 2) + s.shape view of their port rows."""
     full = _lu_columns(cm, s)
-    return full, _s_block(cm, s, np.moveaxis(full[..., [0, -1], :], (-2, -1), (0, 1)))
+    return full, _s_block(cm, s, full[..., [0, -1], :].transpose(-2, -1, *range(full.ndim - 2)))
 
 
 def _lu_columns(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:

@@ -390,7 +390,7 @@ def test_jacobian_matches_central_differences(order):
     orbit_counts = []
     for p, orbits, config in jacobian_cases(order, rng):
         orbit_counts.append(len(orbits))
-        residuals = lambda q: _residuals(q, order, _checked_cost(q, order, config), orbits, config)
+        residuals = lambda q: _residuals(_checked_cost(q, order, config), orbits, config)
         r, jac = residuals(p)
         assert jac.shape == (r.size, len(orbits))
         for k, orbit in enumerate(orbits):
@@ -405,22 +405,28 @@ def test_jacobian_matches_central_differences(order):
 
 
 def test_least_squares_solves_no_point_twice(cm4, xband4, config4, monkeypatch):
-    # Each Jacobian is built from the LU solve its point's cost came from.
-    # From this start least squares reaches tol by itself (3 steps), so no
-    # sweep runs.
-    seen = []
-    lu_scattering = rn.optimizer._lu_scattering
+    # Each Jacobian is built from the LU solve its point's cost came from,
+    # and every solve is a call of the module's cost. From this start least
+    # squares reaches tol by itself (3 steps), so no sweep runs.
+    seen, costs = [], []
+    lu_scattering, cost = rn.optimizer._lu_scattering, rn.optimizer.cost
 
     def spy(cm, s):
         seen.append((cm.m.tobytes(), cm.qe1, cm.qen))
         return lu_scattering(cm, s)
 
+    def cost_spy(cm, config):
+        costs.append(cost(cm, config))
+        return costs[-1]
+
     monkeypatch.setattr("resonet.optimizer._lu_scattering", spy)
+    monkeypatch.setattr("resonet.optimizer.cost", cost_spy)
     problem = perturbed_problem(cm4, xband4, config4, seed=7, amount=0.05)
     result = rn.optimize(problem, method="gradient")
     assert result.converged and result.final_cost <= 1e-10
     assert len(seen) > result.iterations > 0
-    assert len(set(seen)) == len(seen)
+    assert len(set(seen)) == len(seen) == len(costs)
+    assert type(result.final_cost) is float
 
 
 @pytest.mark.parametrize("order", range(4, 21))
