@@ -19,6 +19,7 @@ from .designfile import (
     DesignFile,
     bundled_design_names,
     bundled_filter_spec,
+    design_json,
     load_design,
     load_filter_config,
     load_optimizer_config,
@@ -151,6 +152,25 @@ def _resolve_seed(config: dict):
     return seed
 
 
+def _refuse_doomed_start(design: DesignFile, problem: OptimizationProblem) -> None:
+    """Raise save_design's InvalidSpecError before the first iteration when
+    the start's ripple constant is not finite and no free coupling is zero.
+    A zero coupling can cut the path from port to port (S21 = 0, epsilon =
+    inf), and the optimizer may close it if it is free; with none free,
+    epsilon stays out of range (as for qe1 = qen = 1e-150) and the result
+    could not be saved. A start whose polynomials cannot be extracted is
+    left to the optimizer, as before."""
+    start = problem.initial
+    if any(key[0] == "m" and key[1] < key[2] and start.m[key[1] - 1, key[2] - 1] == 0
+           for key in problem.free_parameters):
+        return
+    try:
+        polynomials = extract_polynomials(start)
+    except ResonetError:
+        return
+    design_json(dataclasses.replace(design, matrix=start, polynomials=polynomials))
+
+
 def _cmd_optimize(args) -> int:
     design = load_design(args.design)
     config = load_optimizer_config(args.config) if args.config else {}
@@ -169,6 +189,7 @@ def _cmd_optimize(args) -> int:
         print(f"perturbed {len(problem.free_parameters)} free parameter(s) by up to "
               f"{perturb * 100:g}%")
 
+    _refuse_doomed_start(design, problem)
     # Only the keys the config gives: optimize's signature holds the defaults.
     settings = {key: config[key] for key in ("max_iter", "tol", "step_floor", "method") if key in config}
     result = optimize(

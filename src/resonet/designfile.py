@@ -194,17 +194,21 @@ def _non_finite_key(value, key: str) -> str | None:
     return None
 
 
-def save_design(design: DesignFile, path) -> None:
-    """Write the design as strict JSON; InvalidSpecError, and nothing
-    written, if a value is not finite (a ladder with a zero coupling has
-    epsilon = inf)."""
+def design_json(design: DesignFile) -> str:
+    """The design as strict JSON text; InvalidSpecError naming the first
+    value that is not finite (a ladder with a zero coupling has epsilon =
+    inf), which a JSON design file cannot hold."""
     record = design_to_dict(design)
     try:
-        text = json.dumps(record, indent=2, allow_nan=False)
+        return json.dumps(record, indent=2, allow_nan=False)
     except ValueError as err:
         key = _non_finite_key(record, "design")
         raise InvalidSpecError(f"{key} is not finite; a JSON design file holds finite numbers only") from err
-    atomic_write_text(str(path), text + "\n")
+
+
+def save_design(design: DesignFile, path) -> None:
+    """Write design_json(design); nothing is written if it raises."""
+    atomic_write_text(str(path), design_json(design) + "\n")
 
 
 def _read_json(path) -> dict:

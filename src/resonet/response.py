@@ -7,13 +7,16 @@ Short inputs (the one-point s_parameters and s_matrix, the optimizer's
 targets at any order) build A(s) and solve it once per point against both
 port unit vectors; they keep that point-major work and return a transposed
 view. Long sweeps take the pole-residue form: one eigen-decomposition of
-the pole matrix, then one pole-major reciprocal and one product with the
-residues, O(n) per point; near an exceptional point, where that form loses
-accuracy, they fall back to LU. Both paths share one singularity guard. On
-the residue path one bound per matrix, sum_k |r_k| / |Re lam_k|, often
-proves that no point of the grid can fail it, and then the per-point guard
-is skipped. s_parameters_cramer, a determinant/cofactor route, is the
-slower reference the kernel is checked against, under the same guard.
+the pole matrix, then one streamed pass over fixed blocks of points, each
+a pole-major reciprocal and one product with the residues, O(n) per point,
+written into the result and turned into S there. A sweep holds the 64 B
+per point of its result plus one (n, block) scratch array, at any order.
+Near an exceptional point, where that form loses accuracy, sweeps fall
+back to LU. Both paths share one singularity guard. On the residue path
+one bound per matrix, sum_k |r_k| / |Re lam_k|, often proves that no point
+of the grid can fail it, and then the per-point guard is skipped.
+s_parameters_cramer, a determinant/cofactor route, is the slower reference
+the kernel is checked against, under the same guard.
 """
 
 from __future__ import annotations
@@ -114,43 +117,56 @@ def _scattering(cm: CouplingMatrix, s):
     The result is port-major, of shape (2, 2) + s.shape: S_pq is
     result[p, q]. Grids of more than _RESIDUE_POINTS_PER_POLE points per
     resonator and more than 48 points in all take the port entries of
-    inv(A) from the pole-residue form, and the result owns its memory, one
-    contiguous row per entry; there the guard runs only where
-    _no_point_can_fail cannot rule it out. Shorter inputs, and matrices
-    whose eigenvectors are ill-conditioned, take one LU solve per point and
-    build and guard the block on a transposed view of its solutions.
+    inv(A) from the pole-residue form, in one streamed pass over blocks of
+    points, and the result owns its memory, one contiguous row per entry;
+    there the guard runs only where _no_point_can_fail cannot rule it out.
+    Shorter inputs, and matrices whose eigenvectors are ill-conditioned,
+    take one LU solve per point and build and guard the block on a
+    transposed copy of the port rows of its solutions.
     """
     s = np.asarray(s, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if s.size > max(_RESIDUE_POINTS_PER_POLE * cm.n, 48):
-            ported = _residue_ports(cm, s)
-            if ported is not None:
-                return _s_block(cm, s, *ported)
+            sm = _residue_ports(cm, s)
+            if sm is not None:
+                return sm
         return _lu_scattering(cm, s)[1]
 
 
-def _s_block(cm: CouplingMatrix, s: np.ndarray, x: np.ndarray, bounded: bool = False) -> np.ndarray:
-    """S from x, the port entries of inv(A) (rows and columns first and
-    last), both (2, 2) + s.shape: I - 2 x / qe on the diagonal, 2 x /
-    sqrt(qe1 qen) off it. The guard runs unless _no_point_can_fail bounded
-    x and the port factors are finite; as numpy floats, a factor that
-    overflows or divides by an underflowed qe1 qen is infinite, and the
-    guard reports it. Callers silence the warnings."""
+def _port_factors(cm: CouplingMatrix) -> np.ndarray:
+    """F in S = I + F x, x the port entries of inv(A): -2 / qe on the
+    diagonal, 2 / sqrt(qe1 qen) off it. Complex, so that scaling x in place
+    takes no cast; a real factor becomes the same complex number either
+    way. As numpy floats, a factor that overflows or divides by an
+    underflowed qe1 qen is infinite, and the guard reports it. Callers
+    silence the warnings."""
     c = 2.0 / np.sqrt(cm.qe1 * cm.qen)
-    coef = np.array([[-2.0 / cm.qe1, c], [c, -2.0 / cm.qen]])
-    out = coef.reshape(coef.shape + (1,) * s.ndim) * x
-    out[0, 0] += 1.0
-    out[1, 1] += 1.0
-    if not (bounded and np.isfinite(coef).all()):
-        _guard(cm, s, x, out)
-    return out
+    return np.array([[-2.0 / cm.qe1, c], [c, -2.0 / cm.qen]], dtype=complex)
+
+
+def _s_block(cm: CouplingMatrix, s: np.ndarray, x: np.ndarray, factors: np.ndarray, constants) -> np.ndarray:
+    """S in place of x, the port entries of inv(A) (rows and columns first
+    and last), both (2, 2) + s.shape: x is scaled by _port_factors and the
+    identity is added, so no second block is allocated; x is returned.
+    The guard runs unless constants, _diagonal_constants(cm), is None; its
+    cond2 test reads |x| before the scaling and its finiteness test reads S
+    after."""
+    x_abs = None if constants is None else np.abs(x)
+    x *= factors.reshape(factors.shape + (1,) * s.ndim)
+    x[0, 0] += 1.0
+    x[1, 1] += 1.0
+    if constants is not None:
+        _guard(cm, s, x_abs, x, constants)
+    return x
 
 
 def _lu_scattering(cm: CouplingMatrix, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_lu_columns' point-major s.shape + (n, 2) solutions, and S from
-    _s_block on a (2, 2) + s.shape view of their port rows."""
+    _s_block on a (2, 2) + s.shape view of a copy of their port rows; the
+    solutions are left as they are. Callers silence the warnings."""
     full = _lu_columns(cm, s)
-    return full, _s_block(cm, s, full[..., [0, -1], :].transpose(-2, -1, *range(full.ndim - 2)))
+    ports = full[..., [0, -1], :].transpose(-2, -1, *range(full.ndim - 2))
+    return full, _s_block(cm, s, ports, _port_factors(cm), _diagonal_constants(cm))
 
 
 def _lu_columns(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:
@@ -169,26 +185,38 @@ def _lu_columns(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:
         return np.array([_lu_columns(cm, point) for point in s.ravel()]).reshape(s.shape + (cm.n, 2))
 
 
-# The residue product runs over a grid padded to a multiple of this many
-# points. OpenBLAS's complex GEMM (0.3.31, SkylakeX kernels) takes the last
-# (P mod 4) rows of a product through a tail kernel that rounds differently;
-# on the padded grid every real point takes the main kernel, whose sums equal
-# the point-major product's bit for bit (pinned by a test).
+# The residue product runs over blocks of points whose width is a multiple
+# of this many points; only the last block is padded to it. OpenBLAS's
+# complex GEMM (0.3.31, SkylakeX kernels) takes the last (width mod 4) rows
+# of a product through a tail kernel that rounds differently; at these
+# widths every real point takes the main kernel, whose sums equal the
+# point-major product's bit for bit (pinned by a test).
 _GEMM_ROWS = 8
 
+# Points per block of the residue pass, a multiple of _GEMM_ROWS. The
+# scratch s - lam of one block, n * 64 KiB, stays in a 2 MiB L2 up to
+# n = 20. On a 2-core x86 VM, 100k-point passes at n = 4 to 20 took 20-40%
+# longer with blocks of 1024 and 2048, which pay the per-block calls more
+# often, and were within noise of each other from 4096 to 16384.
+_BLOCK_POINTS = 4096
 
-def _residue_ports(cm: CouplingMatrix, s: np.ndarray) -> tuple[np.ndarray, bool] | None:
-    """Port entries of inv(A(s)) from the poles and their residues, and
-    whether _no_point_can_fail proves the guard moot for them.
+
+def _residue_ports(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray | None:
+    """S at every point of s from the poles and their residues, or None
+    when the eigen solve fails or V is too ill-conditioned for the sum to
+    keep the LU accuracy.
 
     With M = V diag(lam) inv(V), inv(A(s)) = V diag(1 / (s - lam)) inv(V),
     so entry (p, q) is sum_k r_pqk / (s - lam_k), r_pqk = V[p, k] inv(V)[k, q]:
     one eigen solve, then O(n) work per point and no n x n matrix per point
-    (Cameron, Kudsia & Mansour, ch. 8). The work is pole-major: t = s - lam
-    is one (n, P) array, reciprocated in place, and x = residues @ t, of
-    shape (4, P), one contiguous row per port entry; x is returned as a
-    (2, 2) + s.shape view. None when the eigen solve fails or V is too
-    ill-conditioned for the sum to keep the LU accuracy.
+    (Cameron, Kudsia & Mansour, ch. 8). The work is pole-major and streamed
+    over blocks of _BLOCK_POINTS points: per block, t = s - lam is formed
+    in one (n, _BLOCK_POINTS) scratch array, reciprocated in place, and
+    multiplied by the residues straight into the block's columns of the
+    (4, P) result, one contiguous row per port entry; _s_block then turns
+    those columns into S in place. Memory is the 64 B per point of S plus
+    O(n _BLOCK_POINTS) of scratch, at any order. The result is returned as
+    (2, 2) + s.shape.
     """
     try:
         lam, v = np.linalg.eig(pole_matrix(cm))
@@ -199,11 +227,26 @@ def _residue_ports(cm: CouplingMatrix, s: np.ndarray) -> tuple[np.ndarray, bool]
         return None
     residues = (v[[0, -1], None, :] * w[:, [0, -1]].T).reshape(4, cm.n)  # row 2 p + q holds r_pq
     points = s.ravel()
-    t = np.empty((cm.n, -(-points.size // _GEMM_ROWS) * _GEMM_ROWS), dtype=complex)
-    t[:, points.size :] = 1.0
-    np.subtract(points, lam[:, None], out=t[:, : points.size])
-    x = (residues @ np.reciprocal(t, out=t))[:, : points.size]
-    return x.reshape((2, 2) + s.shape), _no_point_can_fail(cm, points, lam, residues)
+    factors = _port_factors(cm)
+    moot = _no_point_can_fail(cm, points, lam, residues) and np.isfinite(factors).all()
+    constants = None if moot else _diagonal_constants(cm)
+    out = np.empty((2, 2) + s.shape, dtype=complex)
+    x, ports = out.reshape(4, points.size), out.reshape(2, 2, points.size)
+    t = np.empty((cm.n, min(_BLOCK_POINTS, -(-points.size // _GEMM_ROWS) * _GEMM_ROWS)), dtype=complex)
+    for lo in range(0, points.size, _BLOCK_POINTS):
+        block = points[lo : lo + _BLOCK_POINTS]
+        hi = lo + block.size
+        width = -(-block.size // _GEMM_ROWS) * _GEMM_ROWS
+        scratch = t[:, :width]
+        np.subtract(block, lam[:, None], out=scratch[:, : block.size])
+        scratch[:, block.size :] = 1.0
+        np.reciprocal(scratch, out=scratch)
+        if width == block.size:
+            np.matmul(residues, scratch, out=x[:, lo:hi])
+        else:  # the padded last block
+            x[:, lo:hi] = (residues @ scratch)[:, : block.size]
+        _s_block(cm, block, ports[..., lo:hi], factors, constants)
+    return out
 
 
 def _no_point_can_fail(cm: CouplingMatrix, s: np.ndarray, lam: np.ndarray, residues: np.ndarray) -> bool:
@@ -229,20 +272,20 @@ def _no_point_can_fail(cm: CouplingMatrix, s: np.ndarray, lam: np.ndarray, resid
     return scale * reach * (1.0 + 1e-9) <= _COND_LIMIT
 
 
-def _guard(cm: CouplingMatrix, s, x_port, values) -> None:
+def _guard(cm: CouplingMatrix, s, x_abs, values, constants=None) -> None:
     """The one singularity test of every route, port-major.
 
-    x_port holds entries of inv(A) and values the S-parameters, both of
+    x_abs holds |entries of inv(A)| and values the S-parameters, both of
     shape (2, 2) + s.shape or, for the Cramer route, (2, 1) at one point.
-    max|A_ij| * max|x_port| is a lower bound on cond2(A); a point is
-    singular where it passes _COND_LIMIT or where an S-parameter is not
-    finite (2 / qe overflows for a denormal qe, or A is exactly singular).
+    max|A_ij| * max|x| is a lower bound on cond2(A); a point is singular
+    where it passes _COND_LIMIT or where an S-parameter is not finite
+    (2 / qe overflows for a denormal qe, or A is exactly singular).
     max|A_ij| is the larger of the largest coupling and the largest |s + d|
     over the distinct constants d on the diagonal of A - s I, so A is never
     formed. The error names the first such point. Callers silence the
     warnings.
     """
-    ok = (_system_matrix_max_abs(cm, s) * np.abs(x_port) <= _COND_LIMIT) & np.isfinite(values)
+    ok = (_system_matrix_max_abs(cm, s, constants) * x_abs <= _COND_LIMIT) & np.isfinite(values)
     if not ok.all():
         bad = ~ok.all(axis=(0, 1))
         raise SingularFrequencyError(f"filter matrix singular at s = {s[bad][0]}")
@@ -260,13 +303,14 @@ def _diagonal_constants(cm: CouplingMatrix) -> tuple[np.ndarray, float]:
     return np.array(list(set(diag.tolist()))), off
 
 
-def _system_matrix_max_abs(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:
-    """max|A_ij| of A = system_matrix(cm, s) at every point of s.
+def _system_matrix_max_abs(cm: CouplingMatrix, s: np.ndarray, constants=None) -> np.ndarray:
+    """max|A_ij| of A = system_matrix(cm, s) at every point of s, from
+    constants, _diagonal_constants(cm), formed here unless given.
 
     |s + d| is formed once per distinct diagonal constant d, along a
     leading axis, and reduced over it: a short trailing axis reduces slowly.
     """
-    distinct, off = _diagonal_constants(cm)
+    distinct, off = _diagonal_constants(cm) if constants is None else constants
     return np.maximum(np.abs(np.add.outer(distinct, s)).max(axis=0), off)
 
 
@@ -298,7 +342,7 @@ def s_parameters_cramer(cm: CouplingMatrix, s: complex) -> tuple[complex, comple
         x_port = np.array([[cof11], [cof1n]]) / det
         s11 = 1.0 - (2.0 / cm.qe1) * x_port[0, 0]
         s21 = (2.0 / np.sqrt(cm.qe1 * cm.qen)) * x_port[1, 0]
-        _guard(cm, np.asarray(s), x_port, np.array([[s11], [s21]]))
+        _guard(cm, np.asarray(s), np.abs(x_port), np.array([[s11], [s21]]))
     return s11, s21
 
 
@@ -351,7 +395,10 @@ def sweep(
     (s_matrix at each point) exactly. A longer grid takes the pole-residue
     path and agrees with it to rounding: within 1e-13 on Chebyshev designs
     up to order 16 (2.3e-13 at order 20), and within 4e-12 on 2000 random
-    lossless matrices up to order 20.
+    lossless matrices up to order 20. That path streams over blocks of
+    points: it holds the 64 B per point of the S block it returns plus
+    O(n * _BLOCK_POINTS) of scratch, at any order n (about 10 MB traced
+    in all for 100k points at n = 4 to 20).
     """
     if not is_whole(points, least=2):
         raise InvalidSpecError(f"points must be an integer >= 2, got {points}")

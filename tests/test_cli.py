@@ -572,6 +572,38 @@ def test_design_with_infinite_epsilon_exits_3_and_writes_nothing(table2_design, 
     assert not out.exists()
 
 
+def test_optimize_refuses_a_start_with_infinite_epsilon_before_iterating(table2_design, tmp_path, capsys):
+    # qe1 = qen = 1e-150 puts epsilon out of range; no step of the free qe brings it back
+    record = json.loads(table2_design.read_text())
+    record["matrix"]["qe1"] = record["matrix"]["qen"] = 1e-150
+    del record["polynomials"]
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps(record))
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"free_parameters": [["qe1"], ["qen"], ["m", 1, 2]], "max_iter": 20}))
+    out = tmp_path / "out.json"
+    assert main(["optimize", "--design", str(tiny), "--config", str(cfg), "--out", str(out)]) == 3
+    printed = capsys.readouterr()
+    assert "design.polynomials.epsilon is not finite" in printed.err
+    assert "iter" not in printed.out
+    assert not out.exists()
+
+
+def test_optimize_may_close_a_cut_path_through_a_free_zero_coupling(table2_design, tmp_path, capsys):
+    # the start's epsilon is infinite, but the zero coupling is free: the run goes on
+    record = json.loads(table2_design.read_text())
+    record["matrix"]["m"][1][2] = record["matrix"]["m"][2][1] = 0.0
+    del record["polynomials"]
+    cut = tmp_path / "cut.json"
+    cut.write_text(json.dumps(record))
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"free_parameters": [["m", 1, 2], ["m", 2, 3], ["m", 3, 4]], "max_iter": 50}))
+    out = tmp_path / "out.json"
+    assert main(["optimize", "--design", str(cut), "--config", str(cfg), "--out", str(out)]) == 0
+    assert "iter" in capsys.readouterr().out
+    assert rn.load_design(out).matrix.m[1, 2] != 0.0
+
+
 # One instance of every error class resonet exports, with the code the cli
 # docstring gives its kind of failure.
 DOCUMENTED_EXIT_CODES = [

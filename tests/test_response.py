@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,77 @@ def test_sweep_is_the_point_major_residue_product_bit_for_bit(points, xband8, ra
             resp = rn.sweep(cm, spec, 9e9, 11e9, count)
             got = np.stack([resp.s11, resp.s12, resp.s21, resp.s22], axis=1)
             assert np.array_equal(got, point_major_residue_sweep(cm, resp, spec))
+
+
+def test_sweep_is_the_point_major_residue_product_across_block_boundaries(xband8, random_lossless):
+    # lengths one short of, at, one past and off a multiple of _BLOCK_POINTS,
+    # where the last block is whole, short, or padded to _GEMM_ROWS
+    block = response._BLOCK_POINTS
+    rng = np.random.default_rng(17)
+    spec20 = rn.FilterSpec(order=20, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+    cases = [(rn.synthesize_design(xband8).matrix, xband8), (rn.synthesize_design(spec20).matrix, spec20)]
+    cases.append((random_lossless(rng, 5), xband8))
+    for cm, spec in cases:
+        for count in (block - 1, block, block + 1, 2 * block, 2 * block + 3):
+            resp = rn.sweep(cm, spec, 9e9, 11e9, count)
+            got = np.stack([resp.s11, resp.s12, resp.s21, resp.s22], axis=1)
+            assert np.array_equal(got, point_major_residue_sweep(cm, resp, spec))
+
+
+@pytest.mark.parametrize("place", ["a later block", "the padded last block"])
+def test_blocked_guard_decides_as_one_block_does(place, monkeypatch, xband4):
+    # the singular grid point of near_singular_matrices, index points // 3
+    # of linspace(9e9, 11e9, points), lies past the first block; or it is
+    # the exact last point of a grid ending there, in a padded last block
+    block = response._BLOCK_POINTS
+    if place == "a later block":
+        points, f_stop = 3 * block + 30, 11e9
+        assert block <= points // 3 < 2 * block
+    else:
+        points = 2 * block + 3
+        f_stop = np.linspace(9e9, 11e9, points)[points // 3]
+
+    def outcome(cm):
+        try:
+            resp = rn.sweep(cm, xband4, 9e9, f_stop, points)
+        except (SingularFrequencyError, InvalidSpecError) as err:
+            return type(err).__name__, str(err)
+        return "ok", np.stack([resp.s11, resp.s12, resp.s21, resp.s22])
+
+    outcomes = []
+    for cm in near_singular_matrices(xband4, points):
+        got = outcome(cm)
+        with monkeypatch.context() as one_block:  # the guard at every point, in one block
+            one_block.setattr(response, "_BLOCK_POINTS", points + response._GEMM_ROWS)
+            one_block.setattr(response, "_no_point_can_fail", lambda *args: False)
+            expected = outcome(cm)
+        assert got[0] == expected[0]
+        if got[0] == "ok":
+            assert np.array_equal(got[1], expected[1])
+        else:
+            assert got[1] == expected[1]
+        outcomes.append(got)
+    assert {"ok", "SingularFrequencyError"} <= {kind for kind, _ in outcomes}
+    # the tuned matrix is exactly singular at the chosen point, and the error names it
+    w = rn.normalized_frequency(np.linspace(9e9, 11e9, points), xband4)[points // 3]
+    assert outcomes[2] == ("SingularFrequencyError", f"filter matrix singular at s = {1j * w}")
+
+
+@pytest.mark.parametrize("order", [4, 8, 16, 20])
+def test_sweep_memory_is_the_s_block_not_the_order(order):
+    # a 100k-point sweep allocates its 64 B per point of S once, plus
+    # scratch that does not grow with the grid: no (n, points) temporary
+    spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+    cm = rn.synthesize_design(spec).matrix
+    points = 100_000
+    tracemalloc.start()
+    try:
+        resp = rn.sweep(cm, spec, 9e9, 11e9, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(resp) == points
+    assert peak <= 2 * (4 * points * 16)
 
 
 @pytest.mark.parametrize("points", [11, 1001])  # the LU and the residue sizes
