@@ -46,8 +46,6 @@ from .optimizer import (
 )
 from .polynomials import (
     CharacteristicPolynomials,
-    PolynomialCoefficients,
-    char_poly_from_eigenvalues,
     extract_polynomials,
     response_from_polynomials,
 )
@@ -66,9 +64,7 @@ from .response import (
     normalized_frequency,
     s_matrix,
     s_parameters,
-    s_parameters_cramer,
     sweep,
-    sweep_two_port,
 )
 from .touchstone import read_csv, read_response, read_touchstone, write_csv, write_touchstone
 from .waveguide import (
@@ -99,7 +95,6 @@ __all__ = [
     "OptimizationResult",
     "ParseError",
     "PeakPair",
-    "PolynomialCoefficients",
     "ResonetError",
     "ResponseMetrics",
     "SingularFrequencyError",
@@ -111,7 +106,6 @@ __all__ = [
     "bundled_design",
     "bundled_design_names",
     "bundled_filter_spec",
-    "char_poly_from_eigenvalues",
     "chebyshev_g_values",
     "cost",
     "cutoff_frequency",
@@ -136,11 +130,9 @@ __all__ = [
     "response_from_polynomials",
     "s_matrix",
     "s_parameters",
-    "s_parameters_cramer",
     "save_design",
     "spec_to_couplings",
     "sweep",
-    "sweep_two_port",
     "synthesize_design",
     "system_matrix",
     "write_csv",

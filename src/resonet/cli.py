@@ -30,7 +30,7 @@ from .errors import InvalidSpecError, ResonetError
 from .extraction import PeakPair, extract_k, extract_qe, find_peaks
 from .optimizer import CostConfig, OptimizationProblem, ladder_free_parameters, optimize, perturbed
 from .polynomials import extract_polynomials
-from .response import analyze_response, sweep_two_port
+from .response import analyze_response, sweep
 from .touchstone import read_response, write_csv, write_touchstone
 from .waveguide import band_preset, cutoff_frequency, guided_wavelength
 
@@ -93,17 +93,9 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_sweep(args) -> int:
     design = load_design(args.design)
-    resp, _, _ = sweep_two_port(
-        design.matrix,
-        design.spec,
-        args.f_start * 1e9,
-        args.f_stop * 1e9,
-        args.points,
-    )
-    if args.format == "touchstone":
-        write_touchstone(args.out, resp.grid, resp.s11, resp.s21, resp.s12, resp.s22)
-    else:
-        write_csv(args.out, resp)
+    resp = sweep(design.matrix, design.spec, args.f_start * 1e9, args.f_stop * 1e9, args.points)
+    write = write_touchstone if args.format == "touchstone" else write_csv
+    write(args.out, resp)
     print(
         f"swept {args.points} points, {args.f_start:g}-{args.f_stop:g} GHz; "
         f"{args.format} data written to {args.out}"

@@ -25,29 +25,6 @@ _POLE_FLOOR = 1e-250
 
 
 @dataclass(frozen=True)
-class PolynomialCoefficients:
-    """Monic polynomial, coefficients stored in ascending degree order."""
-
-    coeffs: tuple[complex, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise InvalidSpecError("polynomial needs at least one coefficient")
-        if self.coeffs[-1] != 1.0:
-            raise InvalidSpecError("leading coefficient must be exactly 1")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, s: complex) -> complex:
-        out = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            out = out * s + c
-        return out
-
-
-@dataclass(frozen=True)
 class CharacteristicPolynomials:
     """Root form of the response polynomials plus the ripple constant.
 
@@ -66,22 +43,6 @@ class CharacteristicPolynomials:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise InvalidSpecError("ripple constant must be positive")
-
-
-def char_poly_from_eigenvalues(eigenvalues) -> PolynomialCoefficients:
-    """Monic characteristic polynomial from its roots.
-
-    Expands prod(s - lambda_i) one root at a time, which accumulates the
-    alternating elementary-symmetric sums: the coefficient of s^(N-k) is
-    (-1)^k e_k(lambda), down to the constant term (-1)^N prod(lambda_i).
-    """
-    lam = np.atleast_1d(np.asarray(eigenvalues, dtype=complex))
-    if lam.size == 0:
-        raise InvalidSpecError("need at least one eigenvalue")
-    coeffs = np.array([1.0 + 0.0j])
-    for li in lam:
-        coeffs = np.convolve(coeffs, np.array([1.0, -li]))
-    return PolynomialCoefficients(coeffs=tuple(coeffs[::-1]))
 
 
 def _prod_over_roots(roots, s: complex) -> complex:

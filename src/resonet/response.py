@@ -14,9 +14,9 @@ per point of its result plus one (n, block) scratch array, at any order.
 Near an exceptional point, where that form loses accuracy, sweeps fall
 back to LU. Both paths share one singularity guard. On the residue path
 one bound per matrix, sum_k |r_k| / |Re lam_k|, often proves that no point
-of the grid can fail it, and then the per-point guard is skipped.
-s_parameters_cramer, a determinant/cofactor route, is the slower reference
-the kernel is checked against, under the same guard.
+of the grid can fail it, and then the per-point guard is skipped. The
+tests check the kernel against a determinant/cofactor reference
+(tests/oracles.py) under the same guard.
 """
 
 from __future__ import annotations
@@ -272,18 +272,18 @@ def _no_point_can_fail(cm: CouplingMatrix, s: np.ndarray, lam: np.ndarray, resid
     return scale * reach * (1.0 + 1e-9) <= _COND_LIMIT
 
 
-def _guard(cm: CouplingMatrix, s, x_abs, values, constants=None) -> None:
+def _guard(cm: CouplingMatrix, s, x_abs, values, constants) -> None:
     """The one singularity test of every route, port-major.
 
     x_abs holds |entries of inv(A)| and values the S-parameters, both of
-    shape (2, 2) + s.shape or, for the Cramer route, (2, 1) at one point.
-    max|A_ij| * max|x| is a lower bound on cond2(A); a point is singular
-    where it passes _COND_LIMIT or where an S-parameter is not finite
-    (2 / qe overflows for a denormal qe, or A is exactly singular).
-    max|A_ij| is the larger of the largest coupling and the largest |s + d|
-    over the distinct constants d on the diagonal of A - s I, so A is never
-    formed. The error names the first such point. Callers silence the
-    warnings.
+    shape (2, 2) + s.shape or (2, 1) at one point, and constants is
+    _diagonal_constants(cm). max|A_ij| * max|x| is a lower bound on
+    cond2(A); a point is singular where it passes _COND_LIMIT or where an
+    S-parameter is not finite (2 / qe overflows for a denormal qe, or A is
+    exactly singular). max|A_ij| is the larger of the largest coupling and
+    the largest |s + d| over the distinct constants d on the diagonal of
+    A - s I, so A is never formed. The error names the first such point.
+    Callers silence the warnings.
     """
     ok = (_system_matrix_max_abs(cm, s, constants) * x_abs <= _COND_LIMIT) & np.isfinite(values)
     if not ok.all():
@@ -303,14 +303,14 @@ def _diagonal_constants(cm: CouplingMatrix) -> tuple[np.ndarray, float]:
     return np.array(list(set(diag.tolist()))), off
 
 
-def _system_matrix_max_abs(cm: CouplingMatrix, s: np.ndarray, constants=None) -> np.ndarray:
+def _system_matrix_max_abs(cm: CouplingMatrix, s: np.ndarray, constants) -> np.ndarray:
     """max|A_ij| of A = system_matrix(cm, s) at every point of s, from
-    constants, _diagonal_constants(cm), formed here unless given.
+    constants, _diagonal_constants(cm).
 
     |s + d| is formed once per distinct diagonal constant d, along a
     leading axis, and reduced over it: a short trailing axis reduces slowly.
     """
-    distinct, off = _diagonal_constants(cm) if constants is None else constants
+    distinct, off = constants
     return np.maximum(np.abs(np.add.outer(distinct, s)).max(axis=0), off)
 
 
@@ -324,26 +324,6 @@ def s_parameters(cm: CouplingMatrix, s: complex) -> tuple[complex, complex]:
     """
     sm = _scattering(cm, s)
     return sm[0, 0], sm[1, 0]
-
-
-def s_parameters_cramer(cm: CouplingMatrix, s: complex) -> tuple[complex, complex]:
-    """Same contract as s_parameters, via the adjugate of the filter matrix.
-
-    inv(A) = adj(A) / det(A); the two adjugate entries needed are the
-    cofactors obtained by deleting the first row and the first (or last)
-    column and taking determinants. Cross-validation route only; it
-    applies the same singularity guard to cof / det.
-    """
-    a = system_matrix(cm, s)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        det = np.linalg.det(a)
-        cof11 = np.linalg.det(a[1:, 1:])
-        cof1n = (-1) ** (1 + cm.n) * np.linalg.det(a[1:, :-1])
-        x_port = np.array([[cof11], [cof1n]]) / det
-        s11 = 1.0 - (2.0 / cm.qe1) * x_port[0, 0]
-        s21 = (2.0 / np.sqrt(cm.qe1 * cm.qen)) * x_port[1, 0]
-        _guard(cm, np.asarray(s), np.abs(x_port), np.array([[s11], [s21]]))
-    return s11, s21
 
 
 def s_matrix(cm: CouplingMatrix, s: complex) -> np.ndarray:
@@ -421,8 +401,10 @@ def sweep_two_port(
     f_stop_hz: float,
     points: int,
 ) -> tuple[FrequencyResponse, np.ndarray, np.ndarray]:
-    """sweep, returned as (response, response.s12, response.s22): the shape
-    the six-array write_touchstone takes."""
+    """sweep, returned as (response, response.s12, response.s22).
+
+    Kept only for the benchmark under bench/, which calls it; no caller in
+    src/. Not exported from the package."""
     resp = sweep(cm, spec, f_start_hz, f_stop_hz, points)
     return resp, resp.s12, resp.s22
 

@@ -2,9 +2,11 @@
 
 One row per point, ascending in frequency: `# GHz S RI R 50` Touchstone
 rows carry S11, S21, S12, S22 (9 columns), CSV rows S11, S21 only (5), so
-a CSV response has s12 and s22 None. The Touchstone reader takes any
-frequency unit from the first option line, which must precede the data
-(v1.1 voids later ones), but only RI S-parameter data.
+a CSV response has s12 and s22 None. Both writers take a
+FrequencyResponse; the Touchstone writer refuses one without s12 and s22.
+The Touchstone reader takes any frequency unit from the first option
+line, which must precede the data (v1.1 voids later ones), but only RI
+S-parameter data.
 
 Both directions work on whole arrays: the writer formats every row with
 one `%.17g` template (17 significant digits, so each float reads back
@@ -28,13 +30,9 @@ _UNIT_SCALE = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
 def _write_rows(path, header: str, sep: str, unit: float, grid, *entries) -> None:
     """The header, then per point the frequency in `unit` Hz and (re, im) of
-    each entry, each at 17 significant digits. Unequal column lengths raise
-    before anything is written."""
-    lengths = [len(column) for column in (grid, *entries)]
-    if len(set(lengths)) != 1:
-        raise InvalidSpecError(f"grid and S-parameter columns differ in length: {lengths}")
-    columns = [np.asarray(grid) / unit]
-    for entry in map(np.asarray, entries):
+    each entry, each at 17 significant digits."""
+    columns = [grid / unit]
+    for entry in entries:
         columns += [entry.real, entry.imag]
     row = sep.join(["%.17g"] * len(columns))
     lines = [header, *(row % tuple(values) for values in np.column_stack(columns).tolist())]
@@ -83,13 +81,17 @@ def _parse_row_by_row(rows, width: int, sep: str | None) -> np.ndarray:
     return np.array(values)
 
 
-def write_touchstone(path, grid_hz, s11, s21, s12, s22) -> None:
+def write_touchstone(path, resp: FrequencyResponse) -> None:
     """Write a 2-port Touchstone v1 file (RI data, GHz, 50 ohm reference).
 
-    The reference impedance is labeling only: the normalized model is
-    impedance-agnostic.
+    Rows carry S11, S21, S12, S22, so resp must have s12 and s22; a
+    response without them (one read from CSV) raises InvalidSpecError
+    before anything is written. The reference impedance is labeling only:
+    the normalized model is impedance-agnostic.
     """
-    _write_rows(path, "# GHz S RI R 50", " ", 1e9, grid_hz, s11, s21, s12, s22)
+    if resp.s12 is None or resp.s22 is None:
+        raise InvalidSpecError("Touchstone rows need s12 and s22, which this response does not have")
+    _write_rows(path, "# GHz S RI R 50", " ", 1e9, resp.grid, resp.s11, resp.s21, resp.s12, resp.s22)
 
 
 def read_touchstone(path) -> FrequencyResponse:

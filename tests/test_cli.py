@@ -124,6 +124,19 @@ def test_touchstone_sweep_reparses_identically(table2_design, tmp_path):
     assert np.max(np.abs(back.s21 - resp.s21)) < 1e-12
 
 
+@pytest.mark.parametrize("fmt, write", [("touchstone", rn.write_touchstone), ("csv", rn.write_csv)])
+def test_sweep_writes_the_bytes_of_the_library_writer(fmt, write, table2_design, tmp_path):
+    out, ref = tmp_path / "cli.out", tmp_path / "library.out"
+    assert main([
+        "sweep", "--design", str(table2_design),
+        "--f-start", "9", "--f-stop", "11", "--points", "201",
+        "--format", fmt, "--out", str(out),
+    ]) == 0
+    design = rn.load_design(table2_design)
+    write(ref, rn.sweep(design.matrix, design.spec, 9e9, 11e9, 201))
+    assert out.read_bytes() == ref.read_bytes()
+
+
 def two_resonator_file(tmp_path, k=0.046, fbw=0.05, f0=10e9):
     m12 = k / fbw
     q1 = 50.0 / m12
@@ -131,9 +144,9 @@ def two_resonator_file(tmp_path, k=0.046, fbw=0.05, f0=10e9):
         m=np.array([[0.0, m12], [m12, 0.0]]), qe1=q1, qen=400.0 * q1
     )
     spec = rn.FilterSpec(order=2, f0_hz=f0, bandwidth_hz=fbw * f0, ripple_db=0.04321)
-    resp, s12, s22 = rn.sweep_two_port(cm, spec, 0.85 * f0, 1.15 * f0, 4001)
+    resp = rn.sweep(cm, spec, 0.85 * f0, 1.15 * f0, 4001)
     path = tmp_path / "pair.s2p"
-    rn.write_touchstone(path, resp.grid, resp.s11, resp.s21, s12, s22)
+    rn.write_touchstone(path, resp)
     return path, resp.grid[1] - resp.grid[0]
 
 
@@ -142,9 +155,9 @@ def single_resonator_file(tmp_path, qe=18.628, fbw=0.05, f0=10e9):
     cm = rn.CouplingMatrix(m=np.zeros((1, 1)), qe1=q_in, qen=2500.0 * q_in)
     spec = rn.FilterSpec(order=2, f0_hz=f0, bandwidth_hz=fbw * f0, ripple_db=0.04321)
     span = 2.5 * f0 / qe
-    resp, s12, s22 = rn.sweep_two_port(cm, spec, f0 - span, f0 + span, 4001)
+    resp = rn.sweep(cm, spec, f0 - span, f0 + span, 4001)
     path = tmp_path / "single.s2p"
-    rn.write_touchstone(path, resp.grid, resp.s11, resp.s21, s12, s22)
+    rn.write_touchstone(path, resp)
     return path
 
 

@@ -11,8 +11,8 @@ from resonet.touchstone import CSV_HEADER
 
 
 @pytest.fixture()
-def swept(xband4_design, xband4):
-    return rn.sweep_two_port(xband4_design.matrix, xband4, 9e9, 11e9, 201)
+def resp(xband4_design, xband4):
+    return rn.sweep(xband4_design.matrix, xband4, 9e9, 11e9, 201)
 
 
 def test_design_round_trip_is_exact(xband4_design, tmp_path):
@@ -95,22 +95,20 @@ def test_atomic_save_leaves_no_partial_file(xband4_design, tmp_path):
     assert not target.exists()
 
 
-def test_touchstone_round_trip(swept, tmp_path):
-    resp, s12, s22 = swept
+def test_touchstone_round_trip(resp, tmp_path):
     path = tmp_path / "sweep.s2p"
-    rn.write_touchstone(path, resp.grid, resp.s11, resp.s21, s12, s22)
+    rn.write_touchstone(path, resp)
     back = rn.read_touchstone(path)
     assert np.max(np.abs(back.grid - resp.grid) / resp.grid) < 1e-12
     assert np.max(np.abs(back.s11 - resp.s11)) < 1e-12
     assert np.max(np.abs(back.s21 - resp.s21)) < 1e-12
-    assert np.max(np.abs(back.s12 - s12)) < 1e-12
-    assert np.max(np.abs(back.s22 - s22)) < 1e-12
+    assert np.max(np.abs(back.s12 - resp.s12)) < 1e-12
+    assert np.max(np.abs(back.s22 - resp.s22)) < 1e-12
 
 
-def test_touchstone_format(swept, tmp_path):
-    resp, s12, s22 = swept
+def test_touchstone_format(resp, tmp_path):
     path = tmp_path / "sweep.s2p"
-    rn.write_touchstone(path, resp.grid, resp.s11, resp.s21, s12, s22)
+    rn.write_touchstone(path, resp)
     lines = path.read_text().splitlines()
     assert lines[0] == "# GHz S RI R 50"
     assert len(lines) == 1 + len(resp)
@@ -174,10 +172,10 @@ def test_touchstone_reader_rejects_bad_columns(tmp_path):
 @pytest.fixture(scope="module")
 def swept_10k(xband4_design, xband4, tmp_path_factory):
     """A 10k-point sweep written as .s2p and .csv."""
-    resp, s12, s22 = rn.sweep_two_port(xband4_design.matrix, xband4, 9e9, 11e9, 10_000)
+    resp = rn.sweep(xband4_design.matrix, xband4, 9e9, 11e9, 10_000)
     folder = tmp_path_factory.mktemp("swept_10k")
     ts, cs = folder / "sweep.s2p", folder / "sweep.csv"
-    rn.write_touchstone(ts, resp.grid, resp.s11, resp.s21, s12, s22)
+    rn.write_touchstone(ts, resp)
     rn.write_csv(cs, resp)
     return ts, cs
 
@@ -285,8 +283,7 @@ def test_a_hash_in_a_data_row_is_a_bad_token(tmp_path, name, text, lineno):
         rn.read_response(path)
 
 
-def test_csv_round_trip_and_header(swept, tmp_path):
-    resp, _, _ = swept
+def test_csv_round_trip_and_header(resp, tmp_path):
     path = tmp_path / "sweep.csv"
     rn.write_csv(path, resp)
     lines = path.read_text().splitlines()
@@ -304,8 +301,9 @@ def test_written_bytes_are_pinned(tmp_path):
     s21 = np.array([complex(-0.0, 0.7), 0.9 - 1e-17j, 2**-0.5])
     s22 = np.array([-0.5j, 1e-300 + 0j, 0.125])
     ts, cs = tmp_path / "fixed.s2p", tmp_path / "fixed.csv"
-    rn.write_touchstone(ts, grid, s11, s21, s21, s22)
-    rn.write_csv(cs, rn.FrequencyResponse(grid=grid, s11=s11, s21=s21))
+    resp = rn.FrequencyResponse(grid, s11, s21, s12=s21, s22=s22)
+    rn.write_touchstone(ts, resp)
+    rn.write_csv(cs, resp)
     assert ts.read_text() == (
         "# GHz S RI R 50\n"
         "9 0.10000000000000001 0.20000000000000001 -0 0.69999999999999996 "
@@ -322,11 +320,12 @@ def test_written_bytes_are_pinned(tmp_path):
     )
 
 
-def test_touchstone_writer_rejects_unequal_columns(swept, tmp_path):
-    resp, s12, s22 = swept
-    path = tmp_path / "short.s2p"
-    with pytest.raises(InvalidSpecError, match=r"\[201, 201, 201, 1, 201\]"):
-        rn.write_touchstone(path, resp.grid, resp.s11, resp.s21, s12[:1], s22)
+def test_touchstone_writer_refuses_a_csv_response(resp, tmp_path):
+    # a CSV file has no S12 or S22 to write
+    cs, path = tmp_path / "sweep.csv", tmp_path / "sweep.s2p"
+    rn.write_csv(cs, resp)
+    with pytest.raises(InvalidSpecError, match="s12 and s22"):
+        rn.write_touchstone(path, rn.read_csv(cs))
     assert not path.exists()
 
 
@@ -337,11 +336,10 @@ def test_csv_header_enforced(tmp_path):
         rn.read_csv(path)
 
 
-def test_read_response_dispatch(swept, tmp_path):
-    resp, s12, s22 = swept
+def test_read_response_dispatch(resp, tmp_path):
     ts = tmp_path / "sweep.s2p"
     cs = tmp_path / "sweep.csv"
-    rn.write_touchstone(ts, resp.grid, resp.s11, resp.s21, s12, s22)
+    rn.write_touchstone(ts, resp)
     rn.write_csv(cs, resp)
     assert np.max(np.abs(rn.read_response(ts).s21 - rn.read_response(cs).s21)) < 1e-12
 

@@ -7,13 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import resonet as rn
+from oracles import s_parameters_cramer
 from resonet import response
 from resonet.errors import (
     InvalidSpecError,
     NoPassbandError,
     SingularFrequencyError,
 )
-from resonet.response import _system_matrix_max_abs
+from resonet.response import _diagonal_constants, _system_matrix_max_abs
 
 EDGE_S11 = 0.09949943695193105  # equiripple reflection for 0.04321 dB ripple
 
@@ -77,7 +78,7 @@ def test_cramer_agrees_with_inverse(random_lossless):
         cm = random_lossless(rng, rng.integers(2, 21))
         s = 1j * rng.uniform(-5, 5)
         a11, a21 = rn.s_parameters(cm, s)
-        b11, b21 = rn.s_parameters_cramer(cm, s)
+        b11, b21 = s_parameters_cramer(cm, s)
         assert abs(a11 - b11) <= 1e-9 * max(abs(a11), abs(b11), 1e-6)
         assert abs(a21 - b21) <= 1e-9 * max(abs(a21), abs(b21), 1e-6)
 
@@ -88,7 +89,7 @@ def test_cramer_agrees_at_high_order(order):
     spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
     cm = rn.synthesize_design(spec).matrix
     a11, a21 = rn.s_parameters(cm, 0.5j)
-    b11, b21 = rn.s_parameters_cramer(cm, 0.5j)
+    b11, b21 = s_parameters_cramer(cm, 0.5j)
     assert abs(a11 - b11) <= 1e-9 * max(abs(a11), abs(b11))
     assert abs(a21 - b21) <= 1e-9 * max(abs(a21), abs(b21))
 
@@ -98,7 +99,7 @@ def test_cramer_hand_case():
     cm = critically_coupled_pair()
     a = rn.system_matrix(cm, 0.0)
     assert np.linalg.det(a) == pytest.approx(2.0, rel=1e-14)
-    s11, s21 = rn.s_parameters_cramer(cm, 0.0)
+    s11, s21 = s_parameters_cramer(cm, 0.0)
     assert abs(s11) < 1e-14
     assert s21 == pytest.approx(1j, abs=1e-14)
 
@@ -115,7 +116,7 @@ def test_singular_frequency_raises(cm4):
     with pytest.raises(SingularFrequencyError):
         rn.s_parameters(cm4, pole)
     with pytest.raises(SingularFrequencyError):
-        rn.s_parameters_cramer(cm4, pole)
+        s_parameters_cramer(cm4, pole)
 
 
 def test_denormal_qe_raises_on_point_and_swept_routes(xband4):
@@ -128,10 +129,10 @@ def test_denormal_qe_raises_on_point_and_swept_routes(xband4):
         with pytest.raises(SingularFrequencyError):
             rn.s_parameters(cm, 0.5j)
         with pytest.raises(SingularFrequencyError):
-            rn.s_parameters_cramer(cm, 0.5j)
+            s_parameters_cramer(cm, 0.5j)
         for points in (11, 1001):  # the LU and the residue sizes
             with pytest.raises(SingularFrequencyError):
-                rn.sweep_two_port(cm, xband4, 9e9, 11e9, points)
+                rn.sweep(cm, xband4, 9e9, 11e9, points)
 
 
 @pytest.mark.parametrize("points", [3, 1001])  # the LU and the residue sizes
@@ -139,7 +140,7 @@ def test_exactly_singular_grid_point_is_named(points, xband4):
     # an uncoupled middle resonator: A(0) has an exactly zero diagonal entry
     cm = rn.CouplingMatrix(m=np.zeros((3, 3)), qe1=1.0, qen=1.0)
     with pytest.raises(SingularFrequencyError, match=r"at s = 0j$"):
-        rn.sweep_two_port(cm, xband4, 9e9, 11e9, points)
+        rn.sweep(cm, xband4, 9e9, 11e9, points)
 
 
 @pytest.mark.parametrize("points", [49, 1001])  # the residue sizes at n = 3
@@ -172,7 +173,7 @@ def test_guard_scale_is_max_abs_of_the_system_matrix(diagonal, random_lossless):
         for shape in ((), (6,), (200,)):
             s = np.asarray(rng.normal(0, 3, shape) + 1j * rng.normal(0, 3, shape))
             expected = np.abs(rn.system_matrix(cm, s)).max(axis=(-2, -1))
-            assert np.array_equal(_system_matrix_max_abs(cm, s), expected)
+            assert np.array_equal(_system_matrix_max_abs(cm, s, _diagonal_constants(cm)), expected)
 
 
 def test_mapping_fixed_point_and_monotonicity(xband4):
@@ -227,14 +228,17 @@ def test_sweep_validation(cm4, xband4, f_start, f_stop, points):
 
 
 def test_sweep_two_port_consistency(cm4, xband4):
-    resp, s12, s22 = rn.sweep_two_port(cm4, xband4, 9.5e9, 10.5e9, 101)
+    # the benchmark calls sweep_two_port: sweep's response, its s12 and s22
+    resp, s12, s22 = response.sweep_two_port(cm4, xband4, 9.5e9, 10.5e9, 101)
     full = rn.sweep(cm4, xband4, 9.5e9, 10.5e9, 101)
-    assert np.array_equal(full.s12, s12) and np.array_equal(full.s22, s22)
+    assert s12 is resp.s12 and s22 is resp.s22
+    for name in ("grid", "s11", "s21", "s12", "s22"):
+        assert np.array_equal(getattr(resp, name), getattr(full, name))
     assert not (full.s12.flags.writeable or full.s12.base.flags.writeable)
-    assert np.max(np.abs(s12 - resp.s21)) < 1e-12
-    assert np.max(np.abs(s22)) <= 1 + 1e-9
+    assert np.max(np.abs(full.s12 - full.s21)) < 1e-12
+    assert np.max(np.abs(full.s22)) <= 1 + 1e-9
     # lossless two-port: each column of S has unit norm
-    assert np.max(np.abs(np.abs(s22) ** 2 + np.abs(s12) ** 2 - 1)) < 1e-10
+    assert np.max(np.abs(np.abs(full.s22) ** 2 + np.abs(full.s12) ** 2 - 1)) < 1e-10
 
 
 def point_s_matrices(cm, resp, spec):
@@ -242,20 +246,20 @@ def point_s_matrices(cm, resp, spec):
     return np.array([rn.s_matrix(cm, 1j * w) for w in omega])
 
 
-def swept_s_matrices(resp, s12, s22):
-    return np.stack([resp.s11, s12, resp.s21, s22], axis=-1).reshape(-1, 2, 2)
+def swept_s_matrices(resp):
+    return np.stack([resp.s11, resp.s12, resp.s21, resp.s22], axis=-1).reshape(-1, 2, 2)
 
 
-def test_sweep_two_port_is_s_matrix_on_the_grid(cm4, xband4):
+def test_sweep_is_s_matrix_on_the_grid(cm4, xband4):
     # at n = 4, grids of up to 48 points (not only up to 4 n = 16) take the
     # LU path, which is faster there: bit for bit the point route
     for points in (11, 16, 17, 48):
-        resp, s12, s22 = rn.sweep_two_port(cm4, xband4, 9.5e9, 10.5e9, points)
-        assert np.array_equal(swept_s_matrices(resp, s12, s22), point_s_matrices(cm4, resp, xband4))
+        resp = rn.sweep(cm4, xband4, 9.5e9, 10.5e9, points)
+        assert np.array_equal(swept_s_matrices(resp), point_s_matrices(cm4, resp, xband4))
     # longer grids take the pole-residue path: equal to rounding
     for points in (49, 101):
-        resp, s12, s22 = rn.sweep_two_port(cm4, xband4, 9.5e9, 10.5e9, points)
-        diff = swept_s_matrices(resp, s12, s22) - point_s_matrices(cm4, resp, xband4)
+        resp = rn.sweep(cm4, xband4, 9.5e9, 10.5e9, points)
+        diff = swept_s_matrices(resp) - point_s_matrices(cm4, resp, xband4)
         assert np.abs(diff).max() <= 1e-13
 
 
@@ -265,8 +269,8 @@ def test_sweep_near_exceptional_point_matches_point_route(m12, xband4):
     # for m12 = 0.5; its eigenvectors are ill-conditioned (cond ~ 3e4 at
     # 0.5 + 1e-9), where pole residues lose ~1e-11 and the sweep uses LU.
     cm = rn.CouplingMatrix(m=np.array([[0.0, m12], [m12, 0.0]]), qe1=0.5, qen=1.0)
-    resp, s12, s22 = rn.sweep_two_port(cm, xband4, 9e9, 11e9, 1001)
-    diff = swept_s_matrices(resp, s12, s22) - point_s_matrices(cm, resp, xband4)
+    resp = rn.sweep(cm, xband4, 9e9, 11e9, 1001)
+    diff = swept_s_matrices(resp) - point_s_matrices(cm, resp, xband4)
     assert np.abs(diff).max() <= 1e-12
 
 
@@ -298,13 +302,13 @@ def test_sweep_agrees_with_lu_and_cramer(case):
         ref = np.array([rn.s_matrix(cm, 1j * w) for w in omega])
     except SingularFrequencyError:
         assume(False)
-    resp, s12, s22 = rn.sweep_two_port(cm, spec, f_lo, f_hi, points)
-    got = swept_s_matrices(resp, s12, s22)
+    resp = rn.sweep(cm, spec, f_lo, f_hi, points)
+    got = swept_s_matrices(resp)
     # relative to max |S_pq|, which is >= 1/sqrt(2) for a unitary S
     scale = np.abs(ref).max(axis=(1, 2))
     assert np.all(np.abs(got - ref).max(axis=(1, 2)) <= 1e-9 * scale)
     for i in (0, points // 2, points - 1):
-        s11, s21 = rn.s_parameters_cramer(cm, 1j * omega[i])
+        s11, s21 = s_parameters_cramer(cm, 1j * omega[i])
         assert max(abs(s11 - got[i, 0, 0]), abs(s21 - got[i, 1, 0])) <= 1e-9 * scale[i]
     assert np.abs(np.abs(resp.s11) ** 2 + np.abs(resp.s21) ** 2 - 1.0).max() <= 1e-10
 
