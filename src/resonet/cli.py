@@ -3,36 +3,22 @@
 Subcommands: synthesize, sweep, extract, optimize, waveguide, analyze.
 Exit codes: 0 ok, 2 parse error, 3 invalid specification or arguments,
 4 file I/O, 5 extraction/analysis failure, 6 numerical failure.
+
+Importing this module loads no numpy: `--version`, `--help` and usage
+errors run on argparse and the bundled JSON tables alone, and so does
+`waveguide`, which needs only `math`. Each other subcommand imports the
+modules it runs when it is called, and numpy with them.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
-import numpy as np
-
+from ._util import bundled_table
 from ._version import __version__
-from .designfile import (
-    DesignFile,
-    bundled_design_names,
-    bundled_filter_spec,
-    design_json,
-    load_design,
-    load_filter_config,
-    load_optimizer_config,
-    save_design,
-    synthesize_design,
-)
 from .errors import InvalidSpecError, ResonetError
-from .extraction import PeakPair, extract_k, extract_qe, find_peaks
-from .optimizer import CostConfig, OptimizationProblem, ladder_free_parameters, optimize, perturbed
-from .polynomials import extract_polynomials
-from .response import analyze_response, sweep
-from .touchstone import read_response, write_csv, write_touchstone
-from .waveguide import band_preset, cutoff_frequency, guided_wavelength
 
 EXIT_OK = 0
 EXIT_IO = 4  # every other failure code is the exit_code of its ResonetError
@@ -40,7 +26,7 @@ EXIT_IO = 4  # every other failure code is the exit_code of its ResonetError
 SEED_ENV_VAR = "RESONET_SEED"
 
 
-def _synthesis_report(design: DesignFile) -> str:
+def _synthesis_report(design) -> str:
     spec = design.spec
     t = design.targets
     lines = [
@@ -80,6 +66,8 @@ def _synthesis_report(design: DesignFile) -> str:
 
 
 def _cmd_synthesize(args) -> int:
+    from .designfile import bundled_filter_spec, load_filter_config, save_design, synthesize_design
+
     if args.preset:
         spec = bundled_filter_spec(args.preset)
     else:
@@ -92,6 +80,10 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .designfile import load_design
+    from .response import sweep
+    from .touchstone import write_csv, write_touchstone
+
     design = load_design(args.design)
     resp = sweep(design.matrix, design.spec, args.f_start * 1e9, args.f_stop * 1e9, args.points)
     write = write_touchstone if args.format == "touchstone" else write_csv
@@ -103,12 +95,19 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _peak_amplitudes(resp, freqs) -> np.ndarray:
+def _peak_amplitudes(resp, freqs):
+    import numpy as np
+
     idx = np.clip(np.searchsorted(resp.grid, freqs), 0, len(resp) - 1)
     return np.abs(resp.s21[idx])
 
 
 def _cmd_extract(args) -> int:
+    import numpy as np
+
+    from .extraction import PeakPair, extract_k, extract_qe, find_peaks
+    from .touchstone import read_response
+
     resp = read_response(args.response)
     if args.mode == "k":
         freqs = find_peaks(resp, expected=2)
@@ -144,7 +143,7 @@ def _resolve_seed(config: dict):
     return seed
 
 
-def _refuse_doomed_start(design: DesignFile, problem: OptimizationProblem) -> None:
+def _refuse_doomed_start(design, problem) -> None:
     """Raise save_design's InvalidSpecError before the first iteration when
     the start's ripple constant is not finite and no free coupling is zero.
     A zero coupling can cut the path from port to port (S21 = 0, epsilon =
@@ -152,6 +151,11 @@ def _refuse_doomed_start(design: DesignFile, problem: OptimizationProblem) -> No
     epsilon stays out of range (as for qe1 = qen = 1e-150) and the result
     could not be saved. A start whose polynomials cannot be extracted is
     left to the optimizer, as before."""
+    import dataclasses
+
+    from .designfile import design_json
+    from .polynomials import extract_polynomials
+
     start = problem.initial
     if any(key[0] == "m" and key[1] < key[2] and start.m[key[1] - 1, key[2] - 1] == 0
            for key in problem.free_parameters):
@@ -164,6 +168,14 @@ def _refuse_doomed_start(design: DesignFile, problem: OptimizationProblem) -> No
 
 
 def _cmd_optimize(args) -> int:
+    import dataclasses
+
+    import numpy as np
+
+    from .designfile import load_design, load_optimizer_config, save_design
+    from .optimizer import CostConfig, OptimizationProblem, ladder_free_parameters, optimize, perturbed
+    from .polynomials import extract_polynomials
+
     design = load_design(args.design)
     config = load_optimizer_config(args.config) if args.config else {}
 
@@ -204,6 +216,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_waveguide(args) -> int:
+    from .waveguide import band_preset, cutoff_frequency, guided_wavelength
+
     if args.name:
         preset = band_preset(args.name)
         a = preset.a
@@ -224,6 +238,9 @@ def _cmd_waveguide(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .response import analyze_response
+    from .touchstone import read_response
+
     resp = read_response(args.response)
     metrics = analyze_response(resp, args.level_db)
     print(f"passband at |S11| <= {args.level_db:g} dB:")
@@ -246,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="bandpass spec -> prototype, couplings, matrix")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", help="JSON config with order, f0_hz, ripple_db, bandwidth_hz|fbw")
-    group.add_argument("--preset", help=f"bundled design: {', '.join(bundled_design_names())}")
+    presets = ", ".join(sorted(bundled_table("reference_designs.json")["designs"]))
+    group.add_argument("--preset", help=f"bundled design: {presets}")
     p.add_argument("--out", default="design.json", help="design file to write")
     p.set_defaults(func=_cmd_synthesize)
 

@@ -206,12 +206,13 @@ def test_optimize_self_recovery(table2_design, tmp_path, capsys):
 def spy_on_optimize(monkeypatch):
     """Record the keyword arguments the CLI passes to optimize."""
     seen = []
+    optimize = rn.optimize  # read before the patch: the package resolves names lazily
 
     def spy(problem, **kwargs):
         seen.append(kwargs)
-        return rn.optimize(problem, **kwargs)
+        return optimize(problem, **kwargs)
 
-    monkeypatch.setattr("resonet.cli.optimize", spy)
+    monkeypatch.setattr("resonet.optimizer.optimize", spy)
     return seen
 
 
@@ -556,6 +557,31 @@ def test_cli_import_loads_no_scipy():
     assert done.returncode == 0 and done.stdout.strip() == "[]"
 
 
+# Prints whether numpy was loaded after `import resonet, resonet.cli`, the
+# exit code of main(argv), and whether numpy was loaded after it.
+START_UP_PROBE = (
+    "import sys, resonet, resonet.cli; imported = 'numpy' in sys.modules; "
+    "code = resonet.cli.main(sys.argv[1:]); print(imported, code, 'numpy' in sys.modules)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, loads_numpy",
+    [
+        (["--version"], 0, False),
+        (["-h"], 0, False),
+        (["sweep", "-h"], 0, False),
+        (["sweep", "--points", "3"], 2, False),
+        (["waveguide", "WR3"], 0, False),
+        (["synthesize", "--preset", "xband-4pole", "--out", "{tmp}/d.json"], 0, True),
+    ],
+    ids=["version", "help", "sweep-help", "usage-error", "waveguide", "synthesize"],
+)
+def test_start_up_loads_numpy_only_for_numerical_commands(argv, code, loads_numpy, tmp_path):
+    done = run_python("-c", START_UP_PROBE, *(a.format(tmp=tmp_path) for a in argv))
+    assert done.stdout.splitlines()[-1] == f"False {code} {loads_numpy}"
+
+
 @pytest.mark.parametrize("module", ["resonet", "resonet.cli"])
 def test_module_form_runs_the_cli(module, table2_design, tmp_path):
     out = tmp_path / "sweep.s2p"
@@ -643,6 +669,6 @@ def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys):
         def fail(*args, err=err):
             raise err
 
-        monkeypatch.setattr(cli, "band_preset", fail)
+        monkeypatch.setattr("resonet.waveguide.band_preset", fail)
         assert main(["waveguide", "WG16"]) == code
         assert capsys.readouterr().err == f"error: {err}\n"

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
 import types
+
+import pytest
 
 import resonet as rn
 
@@ -13,3 +18,26 @@ def test_all_is_the_public_namespace():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(public - set(rn.__all__)) == []
+
+
+def test_lazy_names_are_listed_and_bound_by_star_import():
+    # in a fresh interpreter no name has been resolved yet: dir lists them
+    # all, `from resonet import *` imports each one's submodule, and a
+    # submodule is an attribute of the package
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import resonet; listed = set(resonet.__all__) <= set(dir(resonet)); "
+        "names = {}; exec('from resonet import *', names); "
+        "print(listed, sorted(set(names) - {'__builtins__'}) == sorted(resonet.__all__), "
+        "resonet.touchstone.read_csv is resonet.read_csv)"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True True True"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rn.no_such_name
+    assert not hasattr(rn, "no_such_name")
