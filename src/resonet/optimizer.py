@@ -42,7 +42,8 @@ ParamKey = tuple
 
 @dataclass(frozen=True)
 class CostConfig:
-    """Targets the cost function drives the response toward."""
+    """Targets the cost function drives the response toward, and the points
+    j w that cost solves at, formed once if every target w is finite."""
 
     zero_omegas: tuple[float, ...]
     edge_s11_mag: float
@@ -53,6 +54,9 @@ class CostConfig:
             raise InvalidSpecError("need at least one reflection-zero target")
         if not 0 <= self.edge_s11_mag < 1:
             raise InvalidSpecError("edge reflection target must lie in [0, 1)")
+        omegas = np.array([*self.zero_omegas, self.edge_omega, -self.edge_omega])
+        # finiteness first: 1j * inf warns
+        object.__setattr__(self, "_points", 1j * omegas if np.isfinite(omegas).all() else None)
 
     @classmethod
     def from_spec(cls, spec: FilterSpec) -> "CostConfig":
@@ -78,49 +82,63 @@ def cost(cm: CouplingMatrix, config: CostConfig) -> float:
     and zero only for an exact equiripple response; it keeps its LU solve.
 
     Raises NumericalError when a target frequency (a zero_omegas entry or
-    edge_omega) is not finite, before any matrix is factored.
+    edge_omega) is not finite, so that config formed no target points.
     """
-    omegas = np.array([*config.zero_omegas, config.edge_omega, -config.edge_omega])
-    if not np.all(np.isfinite(omegas)):
-        raise NumericalError(f"non-finite target frequency in {omegas[:-1]}")
+    if config._points is None:
+        raise NumericalError(f"non-finite target frequency in {np.array([*config.zero_omegas, config.edge_omega])}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        full, sm = _lu_scattering(cm, 1j * omegas)
-    # Term by term: np.sum's pairwise order would change the last bits.
+        full, sm = _lu_scattering(cm, config._points)
+    # Term by term and with the scalar abs: np.sum and np.abs round otherwise.
     total = 0.0
-    for value in sm[0, 0, :-2]:
+    for value in sm[0, 0, :-2].tolist():
         total += abs(value) ** 2
-    for value in sm[0, 0, -2:]:
+    for value in sm[0, 0, -2:].tolist():
         total += (abs(value) - config.edge_s11_mag) ** 2
     solved = _Solved(total)
     solved.cm, solved.x, solved.s11 = cm, full[:, :, 0], sm[0, 0]
     return solved
 
 
-def _residuals(solved: _Solved, orbits, config: CostConfig) -> tuple[np.ndarray, np.ndarray]:
+def _gather(orbits, n: int):
+    """_residuals' indices, once per least-squares run: the (i, j) of the free
+    m entries and the free qe (0, 1), as ordered in p; per orbit length, its
+    orbits' places in that order; and the permutation back to orbit order."""
+    free = np.sort(np.concatenate(orbits))
+    column = {q: k for k, q in enumerate(free.tolist())}
+    sizes = sorted({len(orbit) for orbit in orbits})
+    members = [[k for k, orbit in enumerate(orbits) if len(orbit) == size] for size in sizes]
+    groups = [(np.array([column[q] for k in ks for q in orbits[k].tolist()]), size) for ks, size in zip(members, sizes)]
+    qe = (free[free >= n * n] - n * n).tolist()
+    return np.divmod(free[free < n * n], n), qe, groups, np.argsort(sum(members, []))
+
+
+def _residuals(solved: _Solved, gather, config: CostConfig) -> tuple[np.ndarray, np.ndarray]:
     """The residual r = [Re S11(j w_z), Im S11(j w_z), |S11(+-j)| - level],
     whose sum of squares is the cost, and its Jacobian over the orbit
-    values, from the LU solve that the cost `solved` keeps; an entry that
-    overflows is left inf or NaN.
+    values, from the LU solve that the cost `solved` keeps, at the free
+    positions of _gather only; an entry that overflows is left inf or NaN.
 
     A is complex-symmetric, so with x = inv(A) e1 the derivative of
     S11 = 1 - 2 x_1 / qe1 along one entry m_ij is -(2j / qe1) x_i x_j;
     qe1 and qen enter through their diagonal loading, qe1 also through
-    the port term. An orbit's column sums its positions in p, so mirrored
-    entries share one derivative and a symmetric step.
+    the port term. An orbit's column sums its positions in p as one .sum per
+    orbit does, so mirrored entries share one derivative and a symmetric step.
     """
     cm, x, s11 = solved.cm, solved.x, solved.s11
-    d = np.empty((s11.size, cm.n * cm.n + 2), dtype=complex)
+    (rows, cols), qe, groups, order = gather
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d[:, :-2] = ((-2j / cm.qe1) * x[:, :, None] * x[:, None, :]).reshape(s11.size, -1)
-        d[:, -2] = 2.0 * x[:, 0] / cm.qe1**2 * (1.0 - x[:, 0] / cm.qe1)
-        d[:, -1] = -2.0 / cm.qe1 * x[:, -1] ** 2 / cm.qen**2
+        d = (-2j / cm.qe1) * x[:, rows] * x[:, cols]
+        if qe:
+            dqe = [2.0 * x[:, 0] / cm.qe1**2 * (1.0 - x[:, 0] / cm.qe1), -2.0 / cm.qe1 * x[:, -1] ** 2 / cm.qen**2]
+            d = np.concatenate([d, np.stack(dqe, axis=1)[:, qe]], axis=1)
         zeros, edges = s11[:-2], s11[-2:]
         mag = np.abs(edges)
         r = np.concatenate([zeros.real, zeros.imag, mag - config.edge_s11_mag])
         # d|S11| = Re(conj(S11) dS11) / |S11|, taken as 0 where |S11| = 0
         edge_rows = (edges.conj()[:, None] * d[-2:]).real / np.where(mag > 0, mag, 1.0)[:, None]
         jac = np.concatenate([d[:-2].real, d[:-2].imag, edge_rows])
-        return r, np.stack([jac[:, orbit].sum(axis=1) for orbit in orbits], axis=1)
+        sums = [jac[:, index].reshape(r.size, -1, length).sum(axis=-1) for index, length in groups]
+        return r, np.concatenate(sums, axis=1).take(order, axis=1)  # C order: the step's column sums follow it
 
 
 def ladder_free_parameters(order: int, include_qe: bool = False) -> tuple[ParamKey, ...]:
@@ -376,14 +394,17 @@ def _levenberg_marquardt(p, n, orbits, current, config, max_steps, tol, step_flo
     palindromic p stays exactly symmetric.
     """
     heads = [orbit[0] for orbit in orbits]
+    gather = _gather(orbits, n)
+    flat = np.concatenate(orbits)  # each position, and the orbit it takes its value from
+    owner = np.repeat(np.arange(len(orbits)), [len(orbit) for orbit in orbits])
     damping = 1e-3
     history: list[tuple[float, float]] = []
     while current > tol and len(history) < max_steps:
-        r, jac = _residuals(current, orbits, config)
+        r, jac = _residuals(current, gather, config)
         if not np.isfinite(jac).all():
             return current, history
         # Marquardt scaling: damp each coordinate by its own curvature.
-        scale = np.linalg.norm(jac, axis=0)
+        scale = np.sqrt(np.add.reduce(jac * jac, axis=0))  # np.linalg.norm(jac, axis=0), bit for bit
         scale[scale == 0.0] = 1.0
         u, sv, vt = np.linalg.svd(jac / scale, full_matrices=False)
         ur = u.T @ r
@@ -392,11 +413,9 @@ def _levenberg_marquardt(p, n, orbits, current, config, max_steps, tol, step_flo
         while True:
             step = -(vt.T @ (sv * ur / (sv * sv + damping))) / scale
             if not np.any(np.abs(step) >= floor):
-                for orbit, value in zip(orbits, start):
-                    p[orbit] = value
+                p[flat] = start[owner]
                 return current, history
-            for orbit, value in zip(orbits, start + step):
-                p[orbit] = value
+            p[flat] = (start + step)[owner]
             try:
                 trial = _checked_cost(p, n, config)
             except (InvalidSpecError, SingularFrequencyError):

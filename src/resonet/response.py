@@ -134,39 +134,40 @@ def _scattering(cm: CouplingMatrix, s):
 
 
 def _port_factors(cm: CouplingMatrix) -> np.ndarray:
-    """F in S = I + F x, x the port entries of inv(A): -2 / qe on the
-    diagonal, 2 / sqrt(qe1 qen) off it. Complex, so that scaling x in place
-    takes no cast; a real factor becomes the same complex number either
-    way. As numpy floats, a factor that overflows or divides by an
-    underflowed qe1 qen is infinite, and the guard reports it. Callers
-    silence the warnings."""
+    """F in S = I + F x, x the port entries of inv(A), as a (4, 1) column
+    (row 2 p + q for entry (p, q)): -2 / qe on the diagonal, 2 / sqrt(qe1 qen)
+    off it. Complex, so that scaling x in place takes no cast; a real factor
+    becomes the same complex number either way. As numpy floats, a factor
+    that overflows or divides by an underflowed qe1 qen is infinite, and
+    the guard reports it. Callers silence the warnings."""
     c = 2.0 / np.sqrt(cm.qe1 * cm.qen)
-    return np.array([[-2.0 / cm.qe1, c], [c, -2.0 / cm.qen]], dtype=complex)
+    return np.array([-2.0 / cm.qe1, c, c, -2.0 / cm.qen], dtype=complex)[:, None]
 
 
 def _s_block(cm: CouplingMatrix, s: np.ndarray, x: np.ndarray, factors: np.ndarray, constants) -> np.ndarray:
     """S in place of x, the port entries of inv(A) (rows and columns first
-    and last), both (2, 2) + s.shape: x is scaled by _port_factors and the
-    identity is added, so no second block is allocated; x is returned.
-    The guard runs unless constants, _diagonal_constants(cm), is None; its
-    cond2 test reads |x| before the scaling and its finiteness test reads S
-    after."""
+    and last) at the points of the 1-d s, as (4, s.size) with entry (p, q)
+    in row 2 p + q: x is scaled by _port_factors and 1 is added to rows 0
+    and 3, so no second block is allocated; x is returned. The guard runs
+    unless constants, _diagonal_constants(cm), is None; its cond2 test
+    reads |x| before the scaling and its finiteness test reads S after."""
     x_abs = None if constants is None else np.abs(x)
-    x *= factors.reshape(factors.shape + (1,) * s.ndim)
-    x[0, 0] += 1.0
-    x[1, 1] += 1.0
+    x *= factors
+    x[::3] += 1.0
     if constants is not None:
         _guard(cm, s, x_abs, x, constants)
     return x
 
 
 def _lu_scattering(cm: CouplingMatrix, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_lu_columns' point-major s.shape + (n, 2) solutions, and S from
-    _s_block on a (2, 2) + s.shape view of a copy of their port rows; the
-    solutions are left as they are. Callers silence the warnings."""
+    """_lu_columns' point-major s.shape + (n, 2) solutions, left as they are,
+    and S, formed by _s_block in a (4, s.size) view of a point-major copy of
+    their port entries and returned as (2, 2) + s.shape. Callers silence
+    the warnings."""
     full = _lu_columns(cm, s)
-    ports = full[..., [0, -1], :].transpose(-2, -1, *range(full.ndim - 2))
-    return full, _s_block(cm, s, ports, _port_factors(cm), _diagonal_constants(cm))
+    x = full.reshape(-1, 2 * cm.n).take([0, 1, -2, -1], axis=1).T
+    _s_block(cm, s.ravel(), x, _port_factors(cm), _diagonal_constants(cm))
+    return full, x.reshape((2, 2) + s.shape)
 
 
 def _lu_columns(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:
@@ -174,10 +175,11 @@ def _lu_columns(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:
     port unit vectors. Where A is exactly singular the entries are NaN,
     which the guard reports."""
     a = system_matrix(cm, s)
-    rhs = np.zeros((cm.n, 2), dtype=complex)
-    rhs[0, 0] = rhs[-1, 1] = 1.0
+    # as many axes as a: numpy 1.x's solve reads a b of one axis fewer as vectors
+    rhs = np.zeros((1,) * s.ndim + (cm.n, 2), dtype=complex)
+    rhs[..., 0, 0] = rhs[..., -1, 1] = 1.0
     try:
-        return np.linalg.solve(a, np.broadcast_to(rhs, a.shape[:-1] + (2,)))
+        return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
         if s.ndim == 0:
             return np.full((cm.n, 2), np.nan, dtype=complex)
@@ -231,7 +233,7 @@ def _residue_ports(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray | None:
     moot = _no_point_can_fail(cm, points, lam, residues) and np.isfinite(factors).all()
     constants = None if moot else _diagonal_constants(cm)
     out = np.empty((2, 2) + s.shape, dtype=complex)
-    x, ports = out.reshape(4, points.size), out.reshape(2, 2, points.size)
+    x = out.reshape(4, points.size)
     t = np.empty((cm.n, min(_BLOCK_POINTS, -(-points.size // _GEMM_ROWS) * _GEMM_ROWS)), dtype=complex)
     for lo in range(0, points.size, _BLOCK_POINTS):
         block = points[lo : lo + _BLOCK_POINTS]
@@ -245,7 +247,7 @@ def _residue_ports(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray | None:
             np.matmul(residues, scratch, out=x[:, lo:hi])
         else:  # the padded last block
             x[:, lo:hi] = (residues @ scratch)[:, : block.size]
-        _s_block(cm, block, ports[..., lo:hi], factors, constants)
+        _s_block(cm, block, x[:, lo:hi], factors, constants)
     return out
 
 
@@ -275,8 +277,8 @@ def _no_point_can_fail(cm: CouplingMatrix, s: np.ndarray, lam: np.ndarray, resid
 def _guard(cm: CouplingMatrix, s, x_abs, values, constants) -> None:
     """The one singularity test of every route, port-major.
 
-    x_abs holds |entries of inv(A)| and values the S-parameters, both of
-    shape (2, 2) + s.shape or (2, 1) at one point, and constants is
+    s is 1-d; x_abs holds |entries of inv(A)| and values the S-parameters,
+    both of shape (k, s.size), one row per port entry, and constants is
     _diagonal_constants(cm). max|A_ij| * max|x| is a lower bound on
     cond2(A); a point is singular where it passes _COND_LIMIT or where an
     S-parameter is not finite (2 / qe overflows for a denormal qe, or A is
@@ -287,20 +289,19 @@ def _guard(cm: CouplingMatrix, s, x_abs, values, constants) -> None:
     """
     ok = (_system_matrix_max_abs(cm, s, constants) * x_abs <= _COND_LIMIT) & np.isfinite(values)
     if not ok.all():
-        bad = ~ok.all(axis=(0, 1))
-        raise SingularFrequencyError(f"filter matrix singular at s = {s[bad][0]}")
+        raise SingularFrequencyError(f"filter matrix singular at s = {s[~ok.all(axis=0)][0]}")
 
 
 def _diagonal_constants(cm: CouplingMatrix) -> tuple[np.ndarray, float]:
     """The distinct constants d on the diagonal of A - s I, and the largest
     |coupling| off it. A synchronously tuned filter has at most three d."""
-    diag = -1j * cm.m.diagonal()
+    diag = (-1j * cm.m.diagonal()).tolist()
     diag[0] += 1.0 / cm.qe1
     diag[-1] += 1.0 / cm.qen
     # the entries after the first, in rows of n + 1, minus the last column:
     # a view of the off-diagonal entries
     off = np.abs(cm.m.ravel()[1:].reshape(cm.n - 1, cm.n + 1)[:, :-1]).max(initial=0.0)
-    return np.array(list(set(diag.tolist()))), off
+    return np.array(list(set(diag))), off
 
 
 def _system_matrix_max_abs(cm: CouplingMatrix, s: np.ndarray, constants) -> np.ndarray:
@@ -311,7 +312,7 @@ def _system_matrix_max_abs(cm: CouplingMatrix, s: np.ndarray, constants) -> np.n
     leading axis, and reduced over it: a short trailing axis reduces slowly.
     """
     distinct, off = constants
-    return np.maximum(np.abs(np.add.outer(distinct, s)).max(axis=0), off)
+    return np.abs(np.add.outer(distinct, s)).max(axis=0, initial=off)
 
 
 def s_parameters(cm: CouplingMatrix, s: complex) -> tuple[complex, complex]:

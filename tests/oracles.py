@@ -7,6 +7,8 @@ each is a slower, independent way to the same numbers.
   cofactors, under the kernel's own singularity guard.
 - char_poly_from_eigenvalues: a monic polynomial expanded from its roots,
   the check on the eigenvalue route to the characteristic polynomials.
+- residuals_all_columns: the least-squares residual and its Jacobian over
+  the orbits, from the derivative along every entry of p.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ def s_parameters_cramer(cm: CouplingMatrix, s: complex) -> tuple[complex, comple
         x_port = np.array([[cof11], [cof1n]]) / det
         s11 = 1.0 - (2.0 / cm.qe1) * x_port[0, 0]
         s21 = (2.0 / np.sqrt(cm.qe1 * cm.qen)) * x_port[1, 0]
-        _guard(cm, np.asarray(s), np.abs(x_port), np.array([[s11], [s21]]), _diagonal_constants(cm))
+        _guard(cm, np.asarray(s).reshape(1), np.abs(x_port), np.array([[s11], [s21]]), _diagonal_constants(cm))
     return s11, s21
 
 
@@ -77,3 +79,21 @@ def char_poly_from_eigenvalues(eigenvalues) -> PolynomialCoefficients:
     for li in lam:
         coeffs = np.convolve(coeffs, np.array([1.0, -li]))
     return PolynomialCoefficients(coeffs=tuple(coeffs[::-1]))
+
+
+def residuals_all_columns(solved, orbits, config) -> tuple[np.ndarray, np.ndarray]:
+    """optimizer._residuals the long way: dS11 along all n^2 + 2 entries of
+    p = [*m.ravel(), qe1, qen], real and imaginary rows at the zeros and
+    d|S11| rows at the edges, then one .sum per orbit over its columns."""
+    cm, x, s11 = solved.cm, solved.x, solved.s11
+    d = np.empty((s11.size, cm.n * cm.n + 2), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d[:, :-2] = ((-2j / cm.qe1) * x[:, :, None] * x[:, None, :]).reshape(s11.size, -1)
+        d[:, -2] = 2.0 * x[:, 0] / cm.qe1**2 * (1.0 - x[:, 0] / cm.qe1)
+        d[:, -1] = -2.0 / cm.qe1 * x[:, -1] ** 2 / cm.qen**2
+        zeros, edges = s11[:-2], s11[-2:]
+        mag = np.abs(edges)
+        r = np.concatenate([zeros.real, zeros.imag, mag - config.edge_s11_mag])
+        edge_rows = (edges.conj()[:, None] * d[-2:]).real / np.where(mag > 0, mag, 1.0)[:, None]
+        jac = np.concatenate([d[:-2].real, d[:-2].imag, edge_rows])
+        return r, np.stack([jac[:, orbit].sum(axis=1) for orbit in orbits], axis=1)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import resonet as rn
+from oracles import residuals_all_columns
 from resonet.errors import InvalidSpecError, NumericalError
-from resonet.optimizer import _checked_cost, _orbits, _positions, _residuals, _vector
+from resonet.optimizer import _checked_cost, _gather, _orbits, _positions, _residuals, _vector
 
 # The descent methods that share the monotone, deterministic contract.
 DESCENT_METHODS = ("sweep", "gradient")
@@ -34,13 +35,22 @@ def test_cost_nearly_zero_at_exact_solution(cm4, config4):
 
 @pytest.mark.parametrize("order", [4, 8, 16])
 def test_cost_is_the_point_formula_bit_for_bit(order):
-    # Reference: one s_parameters call per target, summed in the order cost uses.
+    # Reference: one s_parameters call per target, summed in the order cost
+    # uses. Inputs: ladder starts, one with both qe perturbed, and one with
+    # a diagonal offset, where the guard sees n distinct diagonal constants.
     spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
     cm0 = rn.synthesize_design(spec).matrix
     config = rn.CostConfig.from_spec(spec)
-    for seed in range(5):
-        problem = perturbed_problem(cm0, spec, config, seed=seed, amount=0.05)
-        cm = problem.initial
+    starts = [perturbed_problem(cm0, spec, config, seed=seed, amount=0.05).initial for seed in range(5)]
+    qe_problem = rn.OptimizationProblem(
+        initial=cm0, spec=spec, free_parameters=rn.ladder_free_parameters(order, include_qe=True), cost_config=config
+    )
+    starts.append(rn.perturbed(qe_problem, np.random.default_rng(5), 0.05).initial)
+    offset = np.diag(np.random.default_rng(6).uniform(-0.03, 0.03, order))
+    starts.append(rn.CouplingMatrix(m=starts[0].m + offset, qe1=starts[0].qe1, qen=starts[0].qen))
+    assert starts[-2].qe1 != cm0.qe1 and starts[-2].qen != cm0.qen
+    assert len(rn.response._diagonal_constants(starts[-1])[0]) == order > 3
+    for cm in starts:
         expected = 0.0
         for z in config.zero_omegas:
             s11, _ = rn.s_parameters(cm, 1j * z)
@@ -384,13 +394,52 @@ def jacobian_cases(order, rng):
         yield p, _orbits(positions, p, order), rn.CostConfig.from_spec(spec)
 
 
+@pytest.mark.parametrize("order", [4, 6, 8, 12])
+def test_residuals_are_the_all_column_construction_bit_for_bit(order):
+    # The Jacobian formed at the free positions only, summed per orbit
+    # length, against tests/oracles.py's n^2 + 2 columns and one .sum per
+    # orbit. Mirror-symmetric starts with both qe free give four-position
+    # orbits, where a sum in another order (np.add.reduceat) changes bits.
+    spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+    cm = rn.synthesize_design(spec).matrix
+    config = rn.CostConfig.from_spec(spec)
+    ladder = rn.ladder_free_parameters(order)
+    free_sets = {
+        "ladder": ladder,
+        "mirror-symmetric ladder and both qe": ladder + (("qe1",), ("qen",)),
+        "diagonal": tuple(("m", i, i) for i in range(1, order + 1)),
+        "one cross coupling": ladder + (("m", 1, order),),
+    }
+    rng = np.random.default_rng(order)
+    for _ in range(4):
+        for name, keys in free_sets.items():
+            m = np.array(cm.m)
+            for i in range(order - 1):
+                m[i, i + 1] = m[i + 1, i] = m[i, i + 1] * rng.uniform(0.95, 1.05)
+            m[np.diag_indices(order)] = rng.uniform(-0.03, 0.03, order)
+            qe = cm.qe1 * rng.uniform(0.95, 1.05, 2)
+            if name.startswith("mirror"):
+                m, qe = (m + m[::-1, ::-1].T) / 2.0, (qe[0], qe[0])
+            p = _vector(rn.CouplingMatrix(m=m, qe1=qe[0], qen=qe[1]))
+            orbits = _orbits([_positions(key, order) for key in keys], p, order)
+            if name.startswith("mirror"):
+                assert max(len(orbit) for orbit in orbits) == 4
+            solved = _checked_cost(p, order, config)
+            r, jac = _residuals(solved, _gather(orbits, order), config)
+            r0, jac0 = residuals_all_columns(solved, orbits, config)
+            assert r.tobytes() == r0.tobytes()
+            assert jac.shape == jac0.shape and jac.tobytes() == jac0.tobytes()
+            # the layout too: the least-squares step's column norms sum in it
+            assert jac.strides == jac0.strides
+
+
 @pytest.mark.parametrize("order", range(2, 21))
 def test_jacobian_matches_central_differences(order):
     rng = np.random.default_rng(order)
     orbit_counts = []
     for p, orbits, config in jacobian_cases(order, rng):
         orbit_counts.append(len(orbits))
-        residuals = lambda q: _residuals(_checked_cost(q, order, config), orbits, config)
+        residuals = lambda q: _residuals(_checked_cost(q, order, config), _gather(orbits, order), config)
         r, jac = residuals(p)
         assert jac.shape == (r.size, len(orbits))
         for k, orbit in enumerate(orbits):
