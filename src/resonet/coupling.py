@@ -33,6 +33,8 @@ class CouplingMatrix:
         m = np.array(self.m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise InvalidSpecError(f"coupling matrix must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise InvalidSpecError("coupling matrix entries must be finite")
         if not np.array_equal(m, m.T):
             raise InvalidSpecError("coupling matrix must be symmetric")
         if not (self.qe1 > 0 and self.qen > 0):

@@ -212,13 +212,20 @@ def save_design(design: DesignFile, path) -> None:
 
 
 def _read_json(path) -> dict:
-    def refuse(constant):
-        raise InvalidSpecError(f"{path}: {constant} is not a finite number; JSON inputs hold finite numbers only")
+    def finite(literal):
+        value = float(literal)  # NaN, Infinity, or inf past the float range, as for 1e400
+        if not math.isfinite(value):
+            raise InvalidSpecError(f"{path}: {literal} is not a finite number; JSON inputs hold finite numbers only")
+        return value
+
+    def whole(literal):
+        finite(literal)
+        return int(literal)
 
     with open_utf8(path) as handle:
         text = handle.read()
     try:
-        data = json.loads(text, parse_constant=refuse)
+        data = json.loads(text, parse_constant=finite, parse_float=finite, parse_int=whole)
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: line {err.lineno}, column {err.colno}: {err.msg}") from err
     if not isinstance(data, dict):

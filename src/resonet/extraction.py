@@ -33,8 +33,8 @@ class PeakPair:
     f_p2: float
 
     def __post_init__(self):
-        if not (self.f_p1 > 0 and self.f_p2 > 0):
-            raise InvalidSpecError("peak frequencies must be positive")
+        if not (0 < self.f_p1 < math.inf and 0 < self.f_p2 < math.inf):
+            raise InvalidSpecError(f"peak frequencies must be positive and finite, got {self.f_p1} and {self.f_p2}")
         if self.f_p1 > self.f_p2:
             lo, hi = self.f_p2, self.f_p1
             object.__setattr__(self, "f_p1", lo)
@@ -125,8 +125,8 @@ def extract_qe(resp: FrequencyResponse, f0: float) -> float:
     """
     if len(resp) < 3:
         raise InvalidSpecError("Q extraction needs at least 3 samples")
-    if not f0 > 0:
-        raise InvalidSpecError("f0 must be positive")
+    if not 0 < f0 < math.inf:
+        raise InvalidSpecError(f"f0 must be positive and finite, got {f0}")
     mag = np.abs(resp.s21)
     ipk = int(np.argmax(mag))
     if ipk in (0, mag.size - 1):

@@ -14,9 +14,11 @@ per point of its result plus one (n, block) scratch array, at any order.
 Near an exceptional point, where that form loses accuracy, sweeps fall
 back to LU. Both paths share one singularity guard. On the residue path
 one bound per matrix, sum_k |r_k| / |Re lam_k|, often proves that no point
-of the grid can fail it, and then the per-point guard is skipped. The
-tests check the kernel against a determinant/cofactor reference
-(tests/oracles.py) under the same guard.
+of the grid can fail it, and then the per-point guard is skipped. Within
+one numpy/BLAS stack an LU-path grid equals per-point s_matrix and a grid
+gives the same bytes on every call; the residue path's last bits depend on
+the BLAS kernel's GEMM. The tests check the kernel against a
+determinant/cofactor reference (tests/oracles.py) under the same guard.
 """
 
 from __future__ import annotations
@@ -187,19 +189,11 @@ def _lu_columns(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:
         return np.array([_lu_columns(cm, point) for point in s.ravel()]).reshape(s.shape + (cm.n, 2))
 
 
-# The residue product runs over blocks of points whose width is a multiple
-# of this many points; only the last block is padded to it. OpenBLAS's
-# complex GEMM (0.3.31, SkylakeX kernels) takes the last (width mod 4) rows
-# of a product through a tail kernel that rounds differently; at these
-# widths every real point takes the main kernel, whose sums equal the
-# point-major product's bit for bit (pinned by a test).
-_GEMM_ROWS = 8
-
-# Points per block of the residue pass, a multiple of _GEMM_ROWS. The
-# scratch s - lam of one block, n * 64 KiB, stays in a 2 MiB L2 up to
-# n = 20. On a 2-core x86 VM, 100k-point passes at n = 4 to 20 took 20-40%
-# longer with blocks of 1024 and 2048, which pay the per-block calls more
-# often, and were within noise of each other from 4096 to 16384.
+# Points per block of the residue pass. The scratch s - lam of one block,
+# n * 64 KiB, stays in a 2 MiB L2 up to n = 20. On a 2-core x86 VM,
+# 100k-point passes at n = 4 to 20 took 20-40% longer with blocks of 1024
+# and 2048, which pay the per-block calls more often, and were within noise
+# of each other from 4096 to 16384.
 _BLOCK_POINTS = 4096
 
 
@@ -234,19 +228,14 @@ def _residue_ports(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray | None:
     constants = None if moot else _diagonal_constants(cm)
     out = np.empty((2, 2) + s.shape, dtype=complex)
     x = out.reshape(4, points.size)
-    t = np.empty((cm.n, min(_BLOCK_POINTS, -(-points.size // _GEMM_ROWS) * _GEMM_ROWS)), dtype=complex)
+    t = np.empty((cm.n, min(_BLOCK_POINTS, points.size)), dtype=complex)
     for lo in range(0, points.size, _BLOCK_POINTS):
         block = points[lo : lo + _BLOCK_POINTS]
         hi = lo + block.size
-        width = -(-block.size // _GEMM_ROWS) * _GEMM_ROWS
-        scratch = t[:, :width]
-        np.subtract(block, lam[:, None], out=scratch[:, : block.size])
-        scratch[:, block.size :] = 1.0
+        scratch = t[:, : block.size]
+        np.subtract(block, lam[:, None], out=scratch)
         np.reciprocal(scratch, out=scratch)
-        if width == block.size:
-            np.matmul(residues, scratch, out=x[:, lo:hi])
-        else:  # the padded last block
-            x[:, lo:hi] = (residues @ scratch)[:, : block.size]
+        np.matmul(residues, scratch, out=x[:, lo:hi])
         _s_block(cm, block, x[:, lo:hi], factors, constants)
     return out
 
@@ -369,17 +358,16 @@ def sweep(
 ) -> FrequencyResponse:
     """Evaluate the full two-port S-matrix on a linear frequency grid.
 
-    Each grid frequency maps to the prototype domain through
-    normalized_frequency and S11, S21, S12 and S22 all come from one
-    kernel call at s = j omega. The output is deterministic for a given
-    grid. A grid of at most max(4 n, 48) points equals the per-point route
-    (s_matrix at each point) exactly. A longer grid takes the pole-residue
-    path and agrees with it to rounding: within 1e-13 on Chebyshev designs
-    up to order 16 (2.3e-13 at order 20), and within 4e-12 on 2000 random
-    lossless matrices up to order 20. That path streams over blocks of
-    points: it holds the 64 B per point of the S block it returns plus
-    O(n * _BLOCK_POINTS) of scratch, at any order n (about 10 MB traced
-    in all for 100k points at n = 4 to 20).
+    S11, S21, S12 and S22 all come from one kernel call at s = j omega,
+    omega = normalized_frequency(f). Within one numpy/BLAS stack a grid
+    gives the same bytes on every call, and a grid of at most max(4 n, 48)
+    points equals s_matrix at each point exactly. A longer grid takes the
+    pole-residue path, whose last bits depend on the BLAS kernel, and
+    agrees with s_matrix to rounding: within 1e-13 on Chebyshev designs up
+    to order 16 (2.3e-13 at order 20), and within 4e-12 on 2000 random
+    lossless matrices up to order 20. It holds the 64 B per point of the S
+    block it returns plus O(n * _BLOCK_POINTS) of scratch, at any order n
+    (about 10 MB traced in all for 100k points at n = 4 to 20).
     """
     if not is_whole(points, least=2):
         raise InvalidSpecError(f"points must be an integer >= 2, got {points}")

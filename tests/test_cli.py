@@ -503,6 +503,23 @@ def test_json_nan_exits_3_naming_it(table2_design, tmp_path, capsys):
     assert "input.json: NaN is not a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, field, literal",
+    [
+        ("sweep", "matrix.qe1", "1e400"),
+        ("sweep", "matrix.m.0.1", "-1e400"),
+        ("synthesize", "f0_hz", "1" + "0" * 400),
+        ("optimize", "tol", "1e400"),
+    ],
+    ids=["qe1 1e400", "m -1e400", "f0_hz of 401 digits", "tol 1e400"],
+)
+def test_json_number_past_the_float_range_exits_3_naming_it(table2_design, tmp_path, capsys, command, field, literal):
+    # float() reads each as +-inf; a qe1 of inf would sweep, and int() would
+    # keep the 401 digits for a float conversion to overflow later
+    assert main(malformed_input(table2_design, tmp_path, command, field, literal)) == 3
+    assert f"input.json: {literal} is not a finite number" in capsys.readouterr().err
+
+
 def test_config_kinds_are_checked_before_values(table2_design, tmp_path, capsys):
     # perturb's range is checked where it is used, after the read has
     # refused tol's kind

@@ -76,6 +76,13 @@ def test_matrix_rejects_nan():
         rn.CouplingMatrix(m=m, qe1=1.0, qen=1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_names_a_non_finite_entry_before_symmetry(bad):
+    # NaN != NaN: the symmetry check alone would call this matrix asymmetric
+    with pytest.raises(InvalidSpecError, match="entries must be finite"):
+        rn.CouplingMatrix(m=[[0.0, bad], [bad, 0.0]], qe1=1.0, qen=1.0)
+
+
 @pytest.mark.parametrize("qe1,qen", [(0.0, 1.0), (1.0, -2.0)])
 def test_external_q_positive(qe1, qen):
     with pytest.raises(InvalidSpecError):

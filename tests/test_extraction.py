@@ -55,6 +55,13 @@ def test_peak_pair_orders_and_validates():
         rn.PeakPair(f_p1=0.0, f_p2=1e9)
 
 
+@pytest.mark.parametrize("f_p1, f_p2", [(1e9, math.inf), (math.inf, 1e9), (math.nan, 1e9)])
+def test_peak_pair_refuses_non_finite_peaks(f_p1, f_p2):
+    # extract_k of (1e9, inf) would be inf / inf
+    with pytest.raises(InvalidSpecError, match="positive and finite"):
+        rn.PeakPair(f_p1=f_p1, f_p2=f_p2)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     f1=st.floats(min_value=1e6, max_value=1e12),
@@ -157,6 +164,13 @@ def test_qe_needs_bracketed_3db_points():
     resp = rn.sweep(cm, mapping_spec(), F0 - 1e7, F0 + 1e7, 101)
     with pytest.raises(InsufficientSpanError):
         rn.extract_qe(resp, F0)
+
+
+@pytest.mark.parametrize("f0", [math.inf, math.nan, 0.0])
+def test_qe_needs_a_positive_finite_f0(f0):
+    resp = single_resonator_response(18.628)
+    with pytest.raises(InvalidSpecError, match="f0 must be positive and finite"):
+        rn.extract_qe(resp, f0)
 
 
 def peak_oracle_inputs():

@@ -313,6 +313,14 @@ def test_sweep_agrees_with_lu_and_cramer(case):
     assert np.abs(np.abs(resp.s11) ** 2 + np.abs(resp.s21) ** 2 - 1.0).max() <= 1e-10
 
 
+# |blocked - point-major| for the same residues: the BLAS kernel rounds a
+# GEMM column by where it falls in the product, so the two layouts agree
+# bit for bit on some kernels only (OpenBLAS SkylakeX), and within 5.3e-15
+# on others (Haswell, Zen). Absolute, as |S| <= 1; a point computed from
+# another point's frequency misses it by far more.
+LAYOUT_TOL = 1e-14
+
+
 def point_major_residue_sweep(cm, resp, spec):
     """S on resp's grid from the point-major residue product
     reciprocal(s[:, None] - lam) @ residues.T, of shape (points, 4)."""
@@ -328,7 +336,7 @@ def point_major_residue_sweep(cm, resp, spec):
 
 
 @pytest.mark.parametrize("points", [1001, 100_000])
-def test_sweep_is_the_point_major_residue_product_bit_for_bit(points, xband8, random_lossless):
+def test_sweep_is_the_point_major_residue_product(points, xband8, random_lossless):
     rng = np.random.default_rng(15)
     cases = [(rn.synthesize_design(xband8).matrix, xband8)]
     for n in (3, 9, 20):
@@ -336,15 +344,15 @@ def test_sweep_is_the_point_major_residue_product_bit_for_bit(points, xband8, ra
         cases.append((rn.synthesize_design(spec).matrix, spec))
     cases += [(random_lossless(rng, n), xband8) for n in (2, 5, 16)]
     for cm, spec in cases:
-        for count in (points, points + 2, points + 6):  # lengths off a multiple of 8 too
+        for count in (points, points + 2, points + 6):  # short GEMM tails too
             resp = rn.sweep(cm, spec, 9e9, 11e9, count)
             got = np.stack([resp.s11, resp.s12, resp.s21, resp.s22], axis=1)
-            assert np.array_equal(got, point_major_residue_sweep(cm, resp, spec))
+            assert np.abs(got - point_major_residue_sweep(cm, resp, spec)).max() <= LAYOUT_TOL
 
 
 def test_sweep_is_the_point_major_residue_product_across_block_boundaries(xband8, random_lossless):
     # lengths one short of, at, one past and off a multiple of _BLOCK_POINTS,
-    # where the last block is whole, short, or padded to _GEMM_ROWS
+    # where the last block is whole or short
     block = response._BLOCK_POINTS
     rng = np.random.default_rng(17)
     spec20 = rn.FilterSpec(order=20, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
@@ -354,14 +362,14 @@ def test_sweep_is_the_point_major_residue_product_across_block_boundaries(xband8
         for count in (block - 1, block, block + 1, 2 * block, 2 * block + 3):
             resp = rn.sweep(cm, spec, 9e9, 11e9, count)
             got = np.stack([resp.s11, resp.s12, resp.s21, resp.s22], axis=1)
-            assert np.array_equal(got, point_major_residue_sweep(cm, resp, spec))
+            assert np.abs(got - point_major_residue_sweep(cm, resp, spec)).max() <= LAYOUT_TOL
 
 
-@pytest.mark.parametrize("place", ["a later block", "the padded last block"])
+@pytest.mark.parametrize("place", ["a later block", "the last block"])
 def test_blocked_guard_decides_as_one_block_does(place, monkeypatch, xband4):
     # the singular grid point of near_singular_matrices, index points // 3
     # of linspace(9e9, 11e9, points), lies past the first block; or it is
-    # the exact last point of a grid ending there, in a padded last block
+    # the exact last point of a grid ending there, in a short last block
     block = response._BLOCK_POINTS
     if place == "a later block":
         points, f_stop = 3 * block + 30, 11e9
@@ -381,12 +389,12 @@ def test_blocked_guard_decides_as_one_block_does(place, monkeypatch, xband4):
     for cm in near_singular_matrices(xband4, points):
         got = outcome(cm)
         with monkeypatch.context() as one_block:  # the guard at every point, in one block
-            one_block.setattr(response, "_BLOCK_POINTS", points + response._GEMM_ROWS)
+            one_block.setattr(response, "_BLOCK_POINTS", points)
             one_block.setattr(response, "_no_point_can_fail", lambda *args: False)
             expected = outcome(cm)
         assert got[0] == expected[0]
         if got[0] == "ok":
-            assert np.array_equal(got[1], expected[1])
+            assert np.abs(got[1] - expected[1]).max() <= LAYOUT_TOL
         else:
             assert got[1] == expected[1]
         outcomes.append(got)
