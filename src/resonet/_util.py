@@ -52,8 +52,10 @@ def is_whole(value, least: int) -> bool:
 
 @functools.cache
 def bundled_table(filename: str) -> dict:
-    """A JSON file shipped in resonet/data, read once per process."""
-    return json.loads(resources.files("resonet.data").joinpath(filename).read_text())
+    """A JSON file shipped in the package's data directory, read once per
+    process. The package is found by its own name, so a copy imported
+    under another name reads its own data."""
+    return json.loads((resources.files(__package__) / "data" / filename).read_text())
 
 
 def lookup(table: dict, name: str):

@@ -13,7 +13,6 @@ modules it runs when it is called, and numpy with them.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from ._util import bundled_table
@@ -22,8 +21,6 @@ from .errors import InvalidSpecError, ResonetError
 
 EXIT_OK = 0
 EXIT_IO = 4  # every other failure code is the exit_code of its ResonetError
-
-SEED_ENV_VAR = "RESONET_SEED"
 
 
 def _synthesis_report(design) -> str:
@@ -128,18 +125,10 @@ def _cmd_extract(args) -> int:
 
 
 def _resolve_seed(config: dict):
-    if "seed" in config:
-        source, value = "seed", config["seed"]
-    elif os.environ.get(SEED_ENV_VAR):
-        source, value = SEED_ENV_VAR, os.environ[SEED_ENV_VAR]
-    else:
-        return None
-    try:
-        seed = int(value)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise InvalidSpecError(f"{source} must be a non-negative integer, got {value!r}")
+    """The config's seed, an integer as load_optimizer_config read it, or None."""
+    seed = config.get("seed")
+    if seed is not None and seed < 0:
+        raise InvalidSpecError(f"seed must be a non-negative integer, got {seed!r}")
     return seed
 
 
@@ -255,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resonet",
         description="Coupled-resonator bandpass filter synthesis and analysis.",
-        epilog=f"Environment: {SEED_ENV_VAR} fixes the optimizer perturbation seed.",
     )
     parser.add_argument("--version", action="version", version=f"resonet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -286,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", required=True)
     p.add_argument("--config", help="JSON optimizer config, every key optional: free_parameters (list of keys, "
                    "default the ladder couplings), allow_cross_couplings (default false), perturb (fraction, "
-                   "absent or 0: none), seed (default $" + SEED_ENV_VAR + "), max_iter (2000), tol (1e-10), "
+                   "absent or 0: none), seed (default fresh entropy), max_iter (2000), tol (1e-10), "
                    "step_floor (1e-9), method (gradient, sweep or nelder-mead; default gradient)")
     p.add_argument("--out", help="output design file (default: overwrite input)")
     p.set_defaults(func=_cmd_optimize)

@@ -8,6 +8,7 @@ regardless of their center frequency and bandwidth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class CouplingMatrix:
             raise InvalidSpecError("coupling matrix entries must be finite")
         if not np.array_equal(m, m.T):
             raise InvalidSpecError("coupling matrix must be symmetric")
-        if not (self.qe1 > 0 and self.qen > 0):
-            raise InvalidSpecError("external quality factors must be positive")
+        if not (0 < self.qe1 < math.inf and 0 < self.qen < math.inf):
+            raise InvalidSpecError("external quality factors must be positive and finite")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 

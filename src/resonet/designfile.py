@@ -215,7 +215,8 @@ def _read_json(path) -> dict:
     def finite(literal):
         value = float(literal)  # NaN, Infinity, or inf past the float range, as for 1e400
         if not math.isfinite(value):
-            raise InvalidSpecError(f"{path}: {literal} is not a finite number; JSON inputs hold finite numbers only")
+            shown = literal if len(literal) <= 20 else f"{literal[:20]}... ({len(literal)} characters)"
+            raise InvalidSpecError(f"{path}: {shown} is not a finite number; JSON inputs hold finite numbers only")
         return value
 
     def whole(literal):
@@ -270,8 +271,7 @@ def load_optimizer_config(path) -> dict:
     - perturb: number; the start's free parameters are scaled by
       1 + U(-perturb, perturb) before refinement (optimizer.perturbed).
       Absent or 0 means no perturbation.
-    - seed: integer, the perturbation seed; absent falls back to the
-      RESONET_SEED environment variable, then to fresh entropy.
+    - seed: integer, the perturbation seed; absent means fresh entropy.
     - max_iter: number; default 2000.
     - tol: number; default 1e-10.
     - step_floor: number; default 1e-9.

@@ -19,7 +19,7 @@ from .errors import (
     InsufficientSpanError,
     InvalidSpecError,
 )
-from .response import FrequencyResponse
+from .response import FrequencyResponse, _interp_crossing
 
 # Relative prominence below which a bump is ripple, not a resonance.
 PEAK_PROMINENCE = 0.01
@@ -141,6 +141,6 @@ def extract_qe(resp: FrequencyResponse, f0: float) -> float:
     lo = left[-1]
     hi = ipk + right[0]
     f = resp.grid
-    f_lo = f[lo] + (half - mag[lo]) * (f[lo + 1] - f[lo]) / (mag[lo + 1] - mag[lo])
-    f_hi = f[hi - 1] + (half - mag[hi - 1]) * (f[hi] - f[hi - 1]) / (mag[hi] - mag[hi - 1])
+    f_lo = _interp_crossing(f[lo], mag[lo], f[lo + 1], mag[lo + 1], half)
+    f_hi = _interp_crossing(f[hi - 1], mag[hi - 1], f[hi], mag[hi], half)
     return f0 / (f_hi - f_lo)

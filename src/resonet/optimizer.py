@@ -43,18 +43,18 @@ ParamKey = tuple
 @dataclass(frozen=True)
 class CostConfig:
     """Targets the cost function drives the response toward, and the points
-    j w that cost solves at, formed once if every target w is finite."""
+    j w that cost solves at, formed once if every target w is finite. The
+    band edges are the prototype's w = +-1 by definition."""
 
     zero_omegas: tuple[float, ...]
     edge_s11_mag: float
-    edge_omega: float = 1.0
 
     def __post_init__(self):
         if not self.zero_omegas:
             raise InvalidSpecError("need at least one reflection-zero target")
         if not 0 <= self.edge_s11_mag < 1:
             raise InvalidSpecError("edge reflection target must lie in [0, 1)")
-        omegas = np.array([*self.zero_omegas, self.edge_omega, -self.edge_omega])
+        omegas = np.array([*self.zero_omegas, 1.0, -1.0])
         # finiteness first: 1j * inf warns
         object.__setattr__(self, "_points", 1j * omegas if np.isfinite(omegas).all() else None)
 
@@ -81,11 +81,11 @@ def cost(cm: CouplingMatrix, config: CostConfig) -> float:
     of |S11| against the equiripple level at both band edges. Non-negative
     and zero only for an exact equiripple response; it keeps its LU solve.
 
-    Raises NumericalError when a target frequency (a zero_omegas entry or
-    edge_omega) is not finite, so that config formed no target points.
+    Raises NumericalError when a zero_omegas entry is not finite, so that
+    config formed no target points.
     """
     if config._points is None:
-        raise NumericalError(f"non-finite target frequency in {np.array([*config.zero_omegas, config.edge_omega])}")
+        raise NumericalError(f"non-finite target frequency in {np.array(config.zero_omegas)}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         full, sm = _lu_scattering(cm, config._points)
     # Term by term and with the scalar abs: np.sum and np.abs round otherwise.

@@ -71,7 +71,6 @@ class FrequencyResponse:
     grid: np.ndarray
     s11: np.ndarray
     s21: np.ndarray
-    spec: FilterSpec | None = None
     s12: np.ndarray | None = None
     s22: np.ndarray | None = None
 
@@ -380,7 +379,7 @@ def sweep(
         raise InvalidSpecError(f"points = {points} is too many to sweep in memory") from err
     sm.setflags(write=False)  # the response keeps its rows as views, not copies
     (s11, s12), (s21, s22) = sm
-    return FrequencyResponse(grid=f, s11=s11, s21=s21, spec=spec, s12=s12, s22=s22)
+    return FrequencyResponse(grid=f, s11=s11, s21=s21, s12=s12, s22=s22)
 
 
 def sweep_two_port(
@@ -399,6 +398,7 @@ def sweep_two_port(
 
 
 def _interp_crossing(x0, y0, x1, y1, level):
+    """The x at which the line through (x0, y0) and (x1, y1) reaches level; x1 if y1 == y0."""
     if y1 == y0:
         return x1
     return x0 + (level - y0) * (x1 - x0) / (y1 - y0)

@@ -83,9 +83,10 @@ def test_matrix_names_a_non_finite_entry_before_symmetry(bad):
         rn.CouplingMatrix(m=[[0.0, bad], [bad, 0.0]], qe1=1.0, qen=1.0)
 
 
-@pytest.mark.parametrize("qe1,qen", [(0.0, 1.0), (1.0, -2.0)])
+@pytest.mark.parametrize("qe1,qen", [(0.0, 1.0), (1.0, -2.0), (np.inf, 1.0), (1.0, np.inf)])
 def test_external_q_positive(qe1, qen):
-    with pytest.raises(InvalidSpecError):
+    # an infinite qe is an unloaded port, which sweeps as |S11| = 1, |S21| = 0
+    with pytest.raises(InvalidSpecError, match="positive and finite"):
         rn.CouplingMatrix(m=np.zeros((2, 2)), qe1=qe1, qen=qen)
 
 

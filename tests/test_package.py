@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 import types
@@ -41,3 +42,20 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         rn.no_such_name
     assert not hasattr(rn, "no_such_name")
+
+
+def test_a_copy_under_another_name_reads_its_own_data(tmp_path):
+    # the bundled tables are found through the package's own name; with
+    # `resonet` blocked, a copy imported as `resonet_a` must not reach for it
+    src = os.path.dirname(os.path.abspath(rn.__file__))
+    shutil.copytree(src, tmp_path / "resonet_a", ignore=shutil.ignore_patterns("__pycache__"))
+    probe = (
+        "import sys; sys.modules['resonet'] = None; "
+        "import resonet_a, resonet_a.cli, resonet_a.waveguide; "
+        "print(resonet_a.bundled_filter_spec('xband-4pole').order, resonet_a.waveguide.band_preset('WR3').name, "
+        "resonet_a.cli.build_parser().prog)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "4 WR3 resonet"
