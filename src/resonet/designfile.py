@@ -147,14 +147,15 @@ def design_from_dict(data: dict) -> DesignFile:
         k=tuple(_require(targets_rec, "k", "targets", _NUMBERS)),
     )
     matrix_rec = _require(data, "matrix", "design file", _OBJECT)
+    n = _require(matrix_rec, "n", "matrix", _INTEGER)
     matrix = CouplingMatrix(
         m=_require(matrix_rec, "m", "matrix", _ROWS),
         qe1=_require(matrix_rec, "qe1", "matrix", _NUMBER),
         qen=_require(matrix_rec, "qen", "matrix", _NUMBER),
     )
-    if not spec.order == matrix.n == len(prototype.g) - 2 == len(targets.k) + 1:
+    if not spec.order == n == matrix.n == len(prototype.g) - 2 == len(targets.k) + 1:
         raise InvalidSpecError(
-            f"design sections disagree: spec order {spec.order}, {matrix.n}x{matrix.n} matrix, "
+            f"design sections disagree: spec order {spec.order}, matrix n {n}, {matrix.n}x{matrix.n} matrix, "
             f"{len(prototype.g)} g-values, {len(targets.k)} couplings"
         )
     polynomials = None

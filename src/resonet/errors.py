@@ -50,7 +50,7 @@ class InsufficientPeaksError(ResonetError):
 
 
 class InsufficientSpanError(ResonetError):
-    """The sampled frequency span does not bracket the 3 dB points."""
+    """The sampled frequency span does not bracket the 3 dB points or the passband."""
     exit_code = 5
 
 

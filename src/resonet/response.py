@@ -1,24 +1,24 @@
 """S-parameter evaluation and response metrics for coupled-resonator filters.
 
 One kernel computes every S-parameter over an array of complex
-frequencies, by one of two paths chosen from the input size, and returns
-them port-major: S_pq over the grid is the contiguous row result[p, q].
-Short inputs (the one-point s_parameters and s_matrix, the optimizer's
-targets at any order) build A(s) and solve it once per point against both
-port unit vectors; they keep that point-major work and return a transposed
-view. Long sweeps take the pole-residue form: one eigen-decomposition of
-the pole matrix, then one streamed pass over fixed blocks of points, each
-a pole-major reciprocal and one product with the residues, O(n) per point,
-written into the result and turned into S there. A sweep holds the 64 B
-per point of its result plus one (n, block) scratch array, at any order.
-Near an exceptional point, where that form loses accuracy, sweeps fall
-back to LU. Both paths share one singularity guard. On the residue path
-one bound per matrix, sum_k |r_k| / |Re lam_k|, often proves that no point
-of the grid can fail it, and then the per-point guard is skipped. Within
-one numpy/BLAS stack an LU-path grid equals per-point s_matrix and a grid
-gives the same bytes on every call; the residue path's last bits depend on
-the BLAS kernel's GEMM. The tests check the kernel against a
-determinant/cofactor reference (tests/oracles.py) under the same guard.
+frequencies, port-major: S_pq over the grid is the contiguous row
+result[p, q] of its one (2, 2) + s.shape result. It fills that result in
+one streamed pass over fixed blocks of points, each turned into S in
+place, and takes a block's port entries of inv(A) by one of two routes.
+Short inputs (the one-point s_parameters and s_matrix) solve A(s) by LU
+per point against both port unit vectors. Long sweeps take the
+pole-residue form: one eigen-decomposition of the pole matrix, then per
+block a pole-major reciprocal and one product with the residues, O(n) per
+point; near an exceptional point, where that form loses accuracy, they
+take LU. A sweep holds the 64 B per point of its result plus one block's
+scratch, O(n) per point for residues and O(n^2) for LU, at any order.
+Both routes share one singularity guard; on the residue route one bound
+per matrix, sum_k |r_k| / |Re lam_k|, often proves that no point of the
+grid can fail it, and the guard is skipped. Within one numpy/BLAS stack
+an LU-route grid equals per-point s_matrix and a grid gives the same
+bytes on every call; the residue route's last bits depend on the BLAS
+kernel's GEMM. The tests check the kernel against a determinant/cofactor
+reference (tests/oracles.py) under the same guard.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from ._util import is_whole
 from .coupling import CouplingMatrix, pole_matrix, system_matrix
-from .errors import InvalidSpecError, NoPassbandError, SingularFrequencyError
+from .errors import InsufficientSpanError, InvalidSpecError, NoPassbandError, SingularFrequencyError
 from .prototype import FilterSpec
 
 # |S| may exceed unity only by numerical noise on a lossless model.
@@ -113,25 +113,41 @@ class ResponseMetrics:
 
 
 def _scattering(cm: CouplingMatrix, s):
-    """The 2x2 block [[S11, S12], [S21, S22]] at every point of s.
+    """The 2x2 block [[S11, S12], [S21, S22]] at every point of s, as the
+    (2, 2) + s.shape result: S_pq is the contiguous row result[p, q].
 
-    The result is port-major, of shape (2, 2) + s.shape: S_pq is
-    result[p, q]. Grids of more than _RESIDUE_POINTS_PER_POLE points per
-    resonator and more than 48 points in all take the port entries of
-    inv(A) from the pole-residue form, in one streamed pass over blocks of
-    points, and the result owns its memory, one contiguous row per entry;
-    there the guard runs only where _no_point_can_fail cannot rule it out.
-    Shorter inputs, and matrices whose eigenvectors are ill-conditioned,
-    take one LU solve per point and build and guard the block on a
-    transposed copy of the port rows of its solutions.
+    Per block of _BLOCK_POINTS points the port entries of inv(A) are
+    written into the result and _s_block turns them into S there. Grids of
+    more than _RESIDUE_POINTS_PER_POLE points per resonator and more than
+    48 in all take them from the pole residues, in one (n, _BLOCK_POINTS)
+    scratch array, guarded only where _no_point_can_fail cannot rule a
+    failure out. Other inputs, and ill-conditioned eigenbases, take one LU
+    solve per point, O(n^2 _BLOCK_POINTS) per block, under the guard.
     """
     s = np.asarray(s, dtype=complex)
+    points = s.ravel()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if s.size > max(_RESIDUE_POINTS_PER_POLE * cm.n, 48):
-            sm = _residue_ports(cm, s)
-            if sm is not None:
-                return sm
-        return _lu_scattering(cm, s)[1]
+        poles = _residue_ports(cm) if s.size > max(_RESIDUE_POINTS_PER_POLE * cm.n, 48) else None
+        factors = _port_factors(cm)
+        moot = poles is not None and _no_point_can_fail(cm, points, *poles) and np.isfinite(factors).all()
+        constants = None if moot else _diagonal_constants(cm)
+        out = np.empty((2, 2) + s.shape, dtype=complex)
+        x = out.reshape(4, points.size)
+        if poles is not None:
+            lam, residues = poles
+            t = np.empty((cm.n, min(_BLOCK_POINTS, points.size)), dtype=complex)
+        for lo in range(0, points.size, _BLOCK_POINTS):
+            block = points[lo : lo + _BLOCK_POINTS]
+            ports = x[:, lo : lo + block.size]
+            if poles is None:
+                ports[...] = _lu_columns(cm, block).reshape(-1, 2 * cm.n).take([0, 1, -2, -1], axis=1).T
+            else:
+                scratch = t[:, : block.size]
+                np.subtract(block, lam[:, None], out=scratch)
+                np.reciprocal(scratch, out=scratch)
+                np.matmul(residues, scratch, out=ports)
+            _s_block(cm, block, ports, factors, constants)
+    return out
 
 
 def _port_factors(cm: CouplingMatrix) -> np.ndarray:
@@ -161,10 +177,10 @@ def _s_block(cm: CouplingMatrix, s: np.ndarray, x: np.ndarray, factors: np.ndarr
 
 
 def _lu_scattering(cm: CouplingMatrix, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_lu_columns' point-major s.shape + (n, 2) solutions, left as they are,
-    and S, formed by _s_block in a (4, s.size) view of a point-major copy of
-    their port entries and returned as (2, 2) + s.shape. Callers silence
-    the warnings."""
+    """cost's route, whose Jacobian reads the full solutions: _lu_columns'
+    point-major s.shape + (n, 2) solutions, left as they are, and S, formed
+    by _s_block on a point-major copy of their port entries and returned as
+    (2, 2) + s.shape. Callers silence the warnings."""
     full = _lu_columns(cm, s)
     x = full.reshape(-1, 2 * cm.n).take([0, 1, -2, -1], axis=1).T
     _s_block(cm, s.ravel(), x, _port_factors(cm), _diagonal_constants(cm))
@@ -188,30 +204,23 @@ def _lu_columns(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:
         return np.array([_lu_columns(cm, point) for point in s.ravel()]).reshape(s.shape + (cm.n, 2))
 
 
-# Points per block of the residue pass. The scratch s - lam of one block,
-# n * 64 KiB, stays in a 2 MiB L2 up to n = 20. On a 2-core x86 VM,
-# 100k-point passes at n = 4 to 20 took 20-40% longer with blocks of 1024
-# and 2048, which pay the per-block calls more often, and were within noise
-# of each other from 4096 to 16384.
+# Points per block of the kernel's pass. The residue scratch s - lam of one
+# block, n * 64 KiB, stays in a 2 MiB L2 up to n = 20; an LU block's A is
+# n^2 * 64 KiB. On a 2-core x86 VM, 100k-point residue passes at n = 4 to
+# 20 took 20-40% longer with blocks of 1024 and 2048, which pay the
+# per-block calls more often, and were within noise from 4096 to 16384.
 _BLOCK_POINTS = 4096
 
 
-def _residue_ports(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray | None:
-    """S at every point of s from the poles and their residues, or None
-    when the eigen solve fails or V is too ill-conditioned for the sum to
-    keep the LU accuracy.
+def _residue_ports(cm: CouplingMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """The poles lam and the (4, n) port residues of cm, row 2 p + q
+    holding r_pq, or None when the eigen solve fails or V is too
+    ill-conditioned for the residue sum to keep the LU accuracy.
 
     With M = V diag(lam) inv(V), inv(A(s)) = V diag(1 / (s - lam)) inv(V),
     so entry (p, q) is sum_k r_pqk / (s - lam_k), r_pqk = V[p, k] inv(V)[k, q]:
     one eigen solve, then O(n) work per point and no n x n matrix per point
-    (Cameron, Kudsia & Mansour, ch. 8). The work is pole-major and streamed
-    over blocks of _BLOCK_POINTS points: per block, t = s - lam is formed
-    in one (n, _BLOCK_POINTS) scratch array, reciprocated in place, and
-    multiplied by the residues straight into the block's columns of the
-    (4, P) result, one contiguous row per port entry; _s_block then turns
-    those columns into S in place. Memory is the 64 B per point of S plus
-    O(n _BLOCK_POINTS) of scratch, at any order. The result is returned as
-    (2, 2) + s.shape.
+    (Cameron, Kudsia & Mansour, ch. 8).
     """
     try:
         lam, v = np.linalg.eig(pole_matrix(cm))
@@ -220,23 +229,7 @@ def _residue_ports(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray | None:
         return None
     if not np.abs(v).sum(axis=0).max() * np.abs(w).sum(axis=0).max() <= _EIGVEC_COND_LIMIT:
         return None
-    residues = (v[[0, -1], None, :] * w[:, [0, -1]].T).reshape(4, cm.n)  # row 2 p + q holds r_pq
-    points = s.ravel()
-    factors = _port_factors(cm)
-    moot = _no_point_can_fail(cm, points, lam, residues) and np.isfinite(factors).all()
-    constants = None if moot else _diagonal_constants(cm)
-    out = np.empty((2, 2) + s.shape, dtype=complex)
-    x = out.reshape(4, points.size)
-    t = np.empty((cm.n, min(_BLOCK_POINTS, points.size)), dtype=complex)
-    for lo in range(0, points.size, _BLOCK_POINTS):
-        block = points[lo : lo + _BLOCK_POINTS]
-        hi = lo + block.size
-        scratch = t[:, : block.size]
-        np.subtract(block, lam[:, None], out=scratch)
-        np.reciprocal(scratch, out=scratch)
-        np.matmul(residues, scratch, out=x[:, lo:hi])
-        _s_block(cm, block, x[:, lo:hi], factors, constants)
-    return out
+    return lam, (v[[0, -1], None, :] * w[:, [0, -1]].T).reshape(4, cm.n)
 
 
 def _no_point_can_fail(cm: CouplingMatrix, s: np.ndarray, lam: np.ndarray, residues: np.ndarray) -> bool:
@@ -365,8 +358,9 @@ def sweep(
     agrees with s_matrix to rounding: within 1e-13 on Chebyshev designs up
     to order 16 (2.3e-13 at order 20), and within 4e-12 on 2000 random
     lossless matrices up to order 20. It holds the 64 B per point of the S
-    block it returns plus O(n * _BLOCK_POINTS) of scratch, at any order n
-    (about 10 MB traced in all for 100k points at n = 4 to 20).
+    block it returns plus one block's scratch, O(n) per point on the residue
+    path and O(n^2) on LU (about 10 MB traced in all for 100k points at n
+    = 4 to 20 on residues, and on LU at n = 2).
     """
     if not is_whole(points, least=2):
         raise InvalidSpecError(f"points must be an integer >= 2, got {points}")
@@ -411,7 +405,9 @@ def analyze_response(
     """Measure the passband where |S11| stays at or below level_db.
 
     The band is the longest contiguous run of samples meeting the level;
-    its edges are refined by interpolating the level crossings. Reflection
+    its edges are refined by interpolating the level crossings. A run that
+    reaches the first or last sample raises InsufficientSpanError, since
+    the grid, not the response, would set that edge. Reflection
     zeros are counted as strict local minima of |S11| inside the band that
     dip below ZERO_FLOOR_DB.
     """
@@ -436,11 +432,13 @@ def analyze_response(
     a, b = max(runs, key=lambda r: r[1] - r[0])
 
     f = resp.grid
-    f_lo = f[a] if a == 0 else _interp_crossing(f[a - 1], s11_db[a - 1], f[a], s11_db[a], level_db)
-    f_hi = f[b] if b == f.size - 1 else _interp_crossing(f[b], s11_db[b], f[b + 1], s11_db[b + 1], level_db)
+    if a == 0 or b == f.size - 1:
+        raise InsufficientSpanError("the passband reaches the edge of the sampled span")
+    f_lo = _interp_crossing(f[a - 1], s11_db[a - 1], f[a], s11_db[a], level_db)
+    f_hi = _interp_crossing(f[b], s11_db[b], f[b + 1], s11_db[b + 1], level_db)
 
     zeros = 0
-    for i in range(max(a, 1), min(b, f.size - 2) + 1):
+    for i in range(a, b + 1):
         if s11_db[i] < s11_db[i - 1] and s11_db[i] < s11_db[i + 1] and s11_db[i] <= ZERO_FLOOR_DB:
             zeros += 1
 

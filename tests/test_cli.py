@@ -394,6 +394,20 @@ def test_analyze_reports_metrics(table2_design, tmp_path, capsys):
     assert "10.0" in out
 
 
+@pytest.mark.parametrize("f_start, f_stop", [("9.9", "10.1"), ("9.5", "10.1")])
+def test_analyze_passband_cut_by_the_grid_exits_5(f_start, f_stop, table2_design, tmp_path, capsys):
+    # the 500 MHz passband runs past the grid: the grid edge used to be
+    # reported as the band edge, with exit 0
+    sweep_file = tmp_path / "sweep.s2p"
+    assert main([
+        "sweep", "--design", str(table2_design), "--f-start", f_start, "--f-stop", f_stop,
+        "--points", "401", "--format", "touchstone", "--out", str(sweep_file),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--response", str(sweep_file), "--level-db", "-20"]) == 5
+    assert "edge of the sampled span" in capsys.readouterr().err
+
+
 def test_analyze_no_passband_exits_5(tmp_path, capsys):
     grid = np.linspace(1e9, 2e9, 51)
     resp = rn.FrequencyResponse(grid=grid, s11=np.ones(51), s21=np.zeros(51))
@@ -495,6 +509,28 @@ def malformed_input(table2_design, tmp_path, command, field, value):
     target[leaf] = "VALUE"
     path.write_text(json.dumps(record).replace('"VALUE"', value))
     return argv
+
+
+@pytest.mark.parametrize(
+    "n, error, code", [(7, rn.InvalidSpecError, 3), ("four", rn.ParseError, 2), (None, rn.ParseError, 2)]
+)
+def test_design_matrix_n_is_read(n, error, code, table2_design, tmp_path, capsys):
+    # save_design writes matrix.n; a file whose n disagrees with the matrix,
+    # is not an integer or is missing used to sweep with exit 0
+    record = json.loads(table2_design.read_text())
+    if n is None:
+        del record["matrix"]["n"]
+    else:
+        record["matrix"]["n"] = n
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    named = "matrix n 7" if n == 7 else "'n'"
+    with pytest.raises(error, match=named):
+        rn.load_design(path)
+    capsys.readouterr()
+    assert main(["sweep", "--design", str(path), "--f-start", "9", "--f-stop", "11",
+                 "--out", str(tmp_path / "s.s2p")]) == code
+    assert named in capsys.readouterr().err
 
 
 def test_json_nan_exits_3_naming_it(table2_design, tmp_path, capsys):

@@ -10,6 +10,7 @@ import resonet as rn
 from oracles import s_parameters_cramer
 from resonet import response
 from resonet.errors import (
+    InsufficientSpanError,
     InvalidSpecError,
     NoPassbandError,
     SingularFrequencyError,
@@ -262,12 +263,16 @@ def test_sweep_is_s_matrix_on_the_grid(cm4, xband4):
         assert np.abs(diff).max() <= 1e-13
 
 
+def near_exceptional(m12=0.5 + 1e-9):
+    """M = [[-2, j m12], [j m12, -1]] has a double, defective pole at -1.5
+    for m12 = 0.5; its eigenvectors are ill-conditioned (cond ~ 3e4 at
+    0.5 + 1e-9), where pole residues lose ~1e-11 and the sweep uses LU."""
+    return rn.CouplingMatrix(m=np.array([[0.0, m12], [m12, 0.0]]), qe1=0.5, qen=1.0)
+
+
 @pytest.mark.parametrize("m12", [0.5, 0.5 + 1e-9])
 def test_sweep_near_exceptional_point_matches_point_route(m12, xband4):
-    # M = [[-2, j m12], [j m12, -1]] has a double, defective pole at -1.5
-    # for m12 = 0.5; its eigenvectors are ill-conditioned (cond ~ 3e4 at
-    # 0.5 + 1e-9), where pole residues lose ~1e-11 and the sweep uses LU.
-    cm = rn.CouplingMatrix(m=np.array([[0.0, m12], [m12, 0.0]]), qe1=0.5, qen=1.0)
+    cm = near_exceptional(m12)
     resp = rn.sweep(cm, xband4, 9e9, 11e9, 1001)
     diff = swept_s_matrices(resp) - point_s_matrices(cm, resp, xband4)
     assert np.abs(diff).max() <= 1e-12
@@ -403,12 +408,18 @@ def test_blocked_guard_decides_as_one_block_does(place, monkeypatch, xband4):
     assert outcomes[2] == ("SingularFrequencyError", f"filter matrix singular at s = {1j * w}")
 
 
-@pytest.mark.parametrize("order", [4, 8, 16, 20])
-def test_sweep_memory_is_the_s_block_not_the_order(order):
+@pytest.mark.parametrize("order", [4, 8, 16, 20, "near-exceptional"])
+def test_sweep_memory_is_the_s_block_not_the_order(order, xband4):
     # a 100k-point sweep allocates its 64 B per point of S once, plus
     # scratch that does not grow with the grid: no (n, points) temporary
-    spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
-    cm = rn.synthesize_design(spec).matrix
+    # on the residue path, and no (points, n, n) one on the LU path, which
+    # the near-exceptional 2x2 takes
+    if order == "near-exceptional":
+        spec, cm = xband4, near_exceptional()
+        assert response._residue_ports(cm) is None
+    else:
+        spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+        cm = rn.synthesize_design(spec).matrix
     points = 100_000
     tracemalloc.start()
     try:
@@ -428,9 +439,35 @@ def test_sweep_response_rows_are_read_only_views_of_one_block(points, cm4, xband
     assert block.size == 4 * points
     for row in rows:
         assert row.base is block and not row.flags.writeable
-    if points > 48:  # the residue path: the kernel's own block, one contiguous row per entry
-        assert block.shape == (2, 2, points) and not block.flags.writeable
-        assert all(row.flags.c_contiguous for row in rows)
+    # on both paths the kernel's own block, one contiguous row per entry
+    assert block.shape == (2, 2, points) and not block.flags.writeable
+    assert all(row.flags.c_contiguous for row in rows)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)], ids=["1-d", "2-d"])
+def test_s_matrix_of_no_points_is_an_empty_block(shape, cm4):
+    sm = rn.s_matrix(cm4, np.zeros(shape, dtype=complex))
+    assert sm.shape == (2, 2) + shape and sm.dtype == complex
+
+
+def test_lu_path_names_a_singular_point_in_a_later_block(monkeypatch, xband4):
+    # the near-exceptional pair on resonators 1 and 3 keeps the grid on LU;
+    # the uncoupled middle resonator, tuned to grid point points // 3 past
+    # the first block, makes A exactly singular there
+    points = 3 * response._BLOCK_POINTS + 30
+    assert response._BLOCK_POINTS <= points // 3
+    w = rn.normalized_frequency(np.linspace(9e9, 11e9, points), xband4)[points // 3]
+    m = np.diag([0.0, w, 0.0])
+    m[0, 2] = m[2, 0] = 0.5 + 1e-9
+    cm = rn.CouplingMatrix(m=m, qe1=0.5, qen=1.0)
+    assert response._residue_ports(cm) is None
+    message = f"filter matrix singular at s = {1j * w}"
+    with pytest.raises(SingularFrequencyError) as blocked:
+        rn.sweep(cm, xband4, 9e9, 11e9, points)
+    monkeypatch.setattr(response, "_BLOCK_POINTS", points)  # one block
+    with pytest.raises(SingularFrequencyError) as whole:
+        rn.sweep(cm, xband4, 9e9, 11e9, points)
+    assert str(blocked.value) == str(whole.value) == message
 
 
 def sweep_outcome(cm, spec, points):
@@ -564,6 +601,14 @@ def test_analyze_no_passband():
     grid = np.linspace(1e9, 2e9, 51)
     resp = rn.FrequencyResponse(grid=grid, s11=np.ones(51), s21=np.zeros(51))
     with pytest.raises(NoPassbandError):
+        rn.analyze_response(resp, -20.0)
+
+
+@pytest.mark.parametrize("f_start, f_stop", [(9.9e9, 10.1e9), (9.5e9, 10.1e9), (9.9e9, 10.5e9)])
+def test_analyze_refuses_a_passband_the_grid_cuts(f_start, f_stop, cm4, xband4):
+    # the 500 MHz passband runs past a grid edge: that edge is not a band edge
+    resp = rn.sweep(cm4, xband4, f_start, f_stop, 401)
+    with pytest.raises(InsufficientSpanError, match="edge of the sampled span"):
         rn.analyze_response(resp, -20.0)
 
 
