@@ -36,7 +36,7 @@ class CouplingMatrix:
             raise InvalidSpecError(f"coupling matrix must be square, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise InvalidSpecError("coupling matrix entries must be finite")
-        if not np.array_equal(m, m.T):
+        if not (m == m.T).all():  # no NaN reaches this test
             raise InvalidSpecError("coupling matrix must be symmetric")
         if not (0 < self.qe1 < math.inf and 0 < self.qen < math.inf):
             raise InvalidSpecError("external quality factors must be positive and finite")
@@ -73,7 +73,7 @@ def system_matrix(cm: CouplingMatrix, s) -> np.ndarray:
     """
     s = np.asarray(s)
     a = np.empty(s.shape + (cm.n, cm.n), dtype=complex)
-    a[...] = (-1j) * cm.m.astype(complex)
+    np.multiply(-1j, cm.m, out=a)
     diag = a.reshape(s.shape + (-1,))[..., :: cm.n + 1]  # a view of each diagonal
     diag += s[..., None]
     diag[..., 0] += 1.0 / cm.qe1

@@ -5,7 +5,11 @@ and the band edges to the equiripple reflection level; it is zero exactly
 when the matrix reproduces the target response. The default refinement is
 Levenberg-Marquardt least squares on the analytic Jacobian of the
 reflection (Amari, IEEE T-MTT 48(9), 2000), built from the LU solve per
-target point that gave the cost. Cyclic coordinate descent, the bench
+target point that gave the cost. Every evaluation, the start and each
+trial of every method, is one call of cost: the system matrix A at all
+target points (the zeros and both band edges) as one LU block, since the
+targets are few, one batched solve of it, and the singularity guard,
+which reads its scale off that A. Cyclic coordinate descent, the bench
 practice of tuning one dimension at a time, remains as the "sweep" method
 and as the fallback where the least-squares step stalls. Both accept only
 iterates that lower the cost.
@@ -90,9 +94,10 @@ def cost(cm: CouplingMatrix, config: CostConfig) -> float:
         full, sm = _lu_scattering(cm, config._points)
     # Term by term and with the scalar abs: np.sum and np.abs round otherwise.
     total = 0.0
-    for value in sm[0, 0, :-2].tolist():
+    *zeros, lower, upper = sm[0, 0].tolist()
+    for value in zeros:
         total += abs(value) ** 2
-    for value in sm[0, 0, -2:].tolist():
+    for value in (lower, upper):
         total += (abs(value) - config.edge_s11_mag) ** 2
     solved = _Solved(total)
     solved.cm, solved.x, solved.s11 = cm, full[:, :, 0], sm[0, 0]
@@ -102,14 +107,18 @@ def cost(cm: CouplingMatrix, config: CostConfig) -> float:
 def _gather(orbits, n: int):
     """_residuals' indices, once per least-squares run: the (i, j) of the free
     m entries and the free qe (0, 1), as ordered in p; per orbit length, its
-    orbits' places in that order; and the permutation back to orbit order."""
-    free = np.sort(np.concatenate(orbits))
-    column = {q: k for k, q in enumerate(free.tolist())}
-    sizes = sorted({len(orbit) for orbit in orbits})
-    members = [[k for k, orbit in enumerate(orbits) if len(orbit) == size] for size in sizes]
-    groups = [(np.array([column[q] for k in ks for q in orbits[k].tolist()]), size) for ks, size in zip(members, sizes)]
-    qe = (free[free >= n * n] - n * n).tolist()
-    return np.divmod(free[free < n * n], n), qe, groups, np.argsort(sum(members, []))
+    orbits' places in that order; and the permutation back to orbit order.
+    Built in plain Python: n is small."""
+    lists = [orbit.tolist() for orbit in orbits]
+    free = sorted(q for orbit in lists for q in orbit)
+    column = {q: k for k, q in enumerate(free)}
+    sizes = sorted({len(orbit) for orbit in lists})
+    members = [[k for k, orbit in enumerate(lists) if len(orbit) == size] for size in sizes]
+    groups = [(np.array([column[q] for k in ks for q in lists[k]]), size) for ks, size in zip(members, sizes)]
+    grouped = sum(members, [])
+    order = sorted(range(len(grouped)), key=grouped.__getitem__)
+    rows, cols = np.array([divmod(q, n) for q in free if q < n * n], dtype=np.intp).reshape(-1, 2).T
+    return (rows, cols), [q - n * n for q in free if q >= n * n], groups, np.array(order)
 
 
 def _residuals(solved: _Solved, gather, config: CostConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -126,18 +135,23 @@ def _residuals(solved: _Solved, gather, config: CostConfig) -> tuple[np.ndarray,
     """
     cm, x, s11 = solved.cm, solved.x, solved.s11
     (rows, cols), qe, groups, order = gather
+    z = s11.size - 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = (-2j / cm.qe1) * x[:, rows] * x[:, cols]
+        d = np.empty((s11.size, rows.size + len(qe)), dtype=complex)
+        np.multiply((-2j / cm.qe1) * x.take(rows, axis=1), x.take(cols, axis=1), out=d[:, : rows.size])
         if qe:
             dqe = [2.0 * x[:, 0] / cm.qe1**2 * (1.0 - x[:, 0] / cm.qe1), -2.0 / cm.qe1 * x[:, -1] ** 2 / cm.qen**2]
-            d = np.concatenate([d, np.stack(dqe, axis=1)[:, qe]], axis=1)
-        zeros, edges = s11[:-2], s11[-2:]
+            d[:, rows.size :] = np.stack(dqe, axis=1)[:, qe]
+        edges = s11[z:]
         mag = np.abs(edges)
-        r = np.concatenate([zeros.real, zeros.imag, mag - config.edge_s11_mag])
+        r = np.empty(2 * z + 2)
+        r[:z], r[z : 2 * z] = s11[:z].real, s11[:z].imag
+        np.subtract(mag, config.edge_s11_mag, out=r[2 * z :])
+        jac = np.empty((r.size, d.shape[1]))
+        jac[:z], jac[z : 2 * z] = d[:z].real, d[:z].imag
         # d|S11| = Re(conj(S11) dS11) / |S11|, taken as 0 where |S11| = 0
-        edge_rows = (edges.conj()[:, None] * d[-2:]).real / np.where(mag > 0, mag, 1.0)[:, None]
-        jac = np.concatenate([d[:-2].real, d[:-2].imag, edge_rows])
-        sums = [jac[:, index].reshape(r.size, -1, length).sum(axis=-1) for index, length in groups]
+        np.divide((edges.conj()[:, None] * d[z:]).real, (mag + (mag == 0))[:, None], out=jac[2 * z :])
+        sums = [jac.take(index, axis=1).reshape(r.size, -1, length).sum(axis=-1) for index, length in groups]
         return r, np.concatenate(sums, axis=1).take(order, axis=1)  # C order: the step's column sums follow it
 
 
@@ -237,20 +251,25 @@ def _orbits(positions: list[list[int]], p: np.ndarray, n: int) -> list[np.ndarra
     # For a palindromic problem, mirrored parameters move as one coordinate
     # so symmetry survives every intermediate iterate, not just the limit.
     # The mirror maps m[i, j] to m[n-1-j, n-1-i] and qe1 to qen.
-    flat = np.arange(n * n).reshape(n, n)
-    mirror = np.concatenate([flat[::-1, ::-1].T.ravel(), [n * n + 1, n * n]])
-    gap = np.abs(p - p[mirror])
+    def mirror(q: int) -> int:
+        i, j = divmod(q, n)
+        return 2 * n * n + 1 - q if i == n else (n - 1 - j) * n + n - 1 - i
+
     free = {q for pos in positions for q in pos}
+    m = p[:-2].reshape(n, n)
     if (
-        gap[:-2].max() > _PALINDROME_RTOL * max(np.abs(p[:-2]).max(), 1e-30)
-        or gap[-1] > _PALINDROME_RTOL * p[-2:].max()
-        or not free.issuperset(mirror[list(free)])
+        not all(mirror(q) in free for q in free)
+        or np.abs(m - m[::-1, ::-1].T).max() > _PALINDROME_RTOL * max(np.abs(m).max(), 1e-30)
+        or abs(p[-1] - p[-2]) > _PALINDROME_RTOL * max(p[-2], p[-1])
     ):
         return [np.array(pos) for pos in positions]
     orbits: list[np.ndarray] = []
+    taken: set[int] = set()
     for pos in positions:
-        if not any(pos[0] in orbit for orbit in orbits):
-            orbits.append(np.array(pos + [q for q in mirror[pos] if q not in pos]))
+        if pos[0] not in taken:
+            orbit = pos + [mirror(q) for q in pos if mirror(q) not in pos]
+            taken.update(orbit)
+            orbits.append(np.array(orbit))
     return orbits
 
 
@@ -340,7 +359,8 @@ def optimize(
         # problems, left for a valley away from the solution: drop it.
         if not (len(history) == _GRADIENT_STEPS < max_iter and reached > tol):
             p, current, iterations, converged = q, reached, len(history), reached <= tol
-            orbits = [np.array(pos) for pos in positions]
+            if len(orbits) < len(positions):  # grouped: any sweep goes on per key
+                orbits = [np.array(pos) for pos in positions]
             if on_iteration is not None:
                 for i, (value, step) in enumerate(history, 1):
                     on_iteration(i, value, step)
@@ -393,7 +413,7 @@ def _levenberg_marquardt(p, n, orbits, current, config, max_steps, tol, step_flo
     finite. Every position of an orbit takes the orbit's new value, so a
     palindromic p stays exactly symmetric.
     """
-    heads = [orbit[0] for orbit in orbits]
+    heads = np.array([orbit[0] for orbit in orbits])
     gather = _gather(orbits, n)
     flat = np.concatenate(orbits)  # each position, and the orbit it takes its value from
     owner = np.repeat(np.arange(len(orbits)), [len(orbit) for orbit in orbits])
@@ -412,7 +432,8 @@ def _levenberg_marquardt(p, n, orbits, current, config, max_steps, tol, step_flo
         floor = step_floor * np.maximum(1.0, np.abs(start))
         while True:
             step = -(vt.T @ (sv * ur / (sv * sv + damping))) / scale
-            if not np.any(np.abs(step) >= floor):
+            size = np.abs(step)
+            if not (size >= floor).any():
                 p[flat] = start[owner]
                 return current, history
             p[flat] = (start + step)[owner]
@@ -427,7 +448,7 @@ def _levenberg_marquardt(p, n, orbits, current, config, max_steps, tol, step_flo
             damping *= 10.0
         current = trial
         damping = max(damping / 10.0, 1e-12)
-        history.append((float(current), float(np.abs(step).max())))
+        history.append((float(current), float(size.max())))
     return current, history
 
 

@@ -3,7 +3,7 @@
 One kernel computes every S-parameter over an array of complex
 frequencies, port-major: S_pq over the grid is the contiguous row
 result[p, q] of its one (2, 2) + s.shape result. It fills that result in
-one streamed pass over fixed blocks of points, each turned into S in
+one streamed pass over blocks of points, each turned into S in
 place, and takes a block's port entries of inv(A) by one of two routes.
 Short inputs (the one-point s_parameters and s_matrix) solve A(s) by LU
 per point against both port unit vectors. Long sweeps take the
@@ -11,10 +11,15 @@ pole-residue form: one eigen-decomposition of the pole matrix, then per
 block a pole-major reciprocal and one product with the residues, O(n) per
 point; near an exceptional point, where that form loses accuracy, they
 take LU. A sweep holds the 64 B per point of its result plus one block's
-scratch, O(n) per point for residues and O(n^2) for LU, at any order.
-Both routes share one singularity guard; on the residue route one bound
-per matrix, sum_k |r_k| / |Re lam_k|, often proves that no point of the
-grid can fail it, and the guard is skipped. Within one numpy/BLAS stack
+scratch, about n * 64 KiB on either route: residue blocks have a fixed
+number of points and O(n) scratch per point, LU blocks n times fewer
+points and O(n^2) scratch per point.
+Both routes, and the optimizer's target solve (_lu_scattering), share one
+singularity guard on max|A_ij| at each point: the target solve reads it
+off the A it solves, a sweep forms it from A's diagonal constants without
+A, to the same bits. On the residue route one bound per matrix,
+sum_k |r_k| / |Re lam_k|, often proves that no point of the grid can fail
+it, and the guard is skipped. Within one numpy/BLAS stack
 an LU-route grid equals per-point s_matrix and a grid gives the same
 bytes on every call; the residue route's last bits depend on the BLAS
 kernel's GEMM. The tests check the kernel against a determinant/cofactor
@@ -23,6 +28,7 @@ reference (tests/oracles.py) under the same guard.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +48,10 @@ ZERO_FLOOR_DB = -40.0
 
 _COND_LIMIT = 1e12
 _MAG_FLOOR = 1e-300
+
+# Where the port entries (1, 1), (1, n), (n, 1) and (n, n) of inv(A) sit
+# among the 2 n entries of one point's inv(A) [e1, en], flattened.
+_PORT_ENTRIES = np.array([0, 1, -2, -1])
 
 # Inputs of more points than this per resonator, and of more than 48 points
 # in all, take the pole-residue form: one eigen solve, then O(n) per point,
@@ -116,99 +126,119 @@ def _scattering(cm: CouplingMatrix, s):
     """The 2x2 block [[S11, S12], [S21, S22]] at every point of s, as the
     (2, 2) + s.shape result: S_pq is the contiguous row result[p, q].
 
-    Per block of _BLOCK_POINTS points the port entries of inv(A) are
-    written into the result and _s_block turns them into S there. Grids of
-    more than _RESIDUE_POINTS_PER_POLE points per resonator and more than
-    48 in all take them from the pole residues, in one (n, _BLOCK_POINTS)
-    scratch array, guarded only where _no_point_can_fail cannot rule a
-    failure out. Other inputs, and ill-conditioned eigenbases, take one LU
-    solve per point, O(n^2 _BLOCK_POINTS) per block, under the guard.
+    Per block of points the port entries of inv(A) are written into the
+    result and _s_block turns them into S there. Grids of more than
+    _RESIDUE_POINTS_PER_POLE points per resonator and more than 48 in all
+    take them from the pole residues, in one (n, _BLOCK_POINTS) scratch
+    array, guarded only where _no_point_can_fail cannot rule a failure
+    out. Other inputs, and ill-conditioned eigenbases, take one LU solve
+    per point under the guard, in blocks of _BLOCK_POINTS // n points, so
+    that a block's A holds as many bytes as the residue scratch.
     """
     s = np.asarray(s, dtype=complex)
     points = s.ravel()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         poles = _residue_ports(cm) if s.size > max(_RESIDUE_POINTS_PER_POLE * cm.n, 48) else None
-        factors = _port_factors(cm)
+        factors = _port_factors(cm.qe1, cm.qen)
         moot = poles is not None and _no_point_can_fail(cm, points, *poles) and np.isfinite(factors).all()
         constants = None if moot else _diagonal_constants(cm)
         out = np.empty((2, 2) + s.shape, dtype=complex)
         x = out.reshape(4, points.size)
         if poles is not None:
             lam, residues = poles
-            t = np.empty((cm.n, min(_BLOCK_POINTS, points.size)), dtype=complex)
-        for lo in range(0, points.size, _BLOCK_POINTS):
-            block = points[lo : lo + _BLOCK_POINTS]
+            step = _BLOCK_POINTS
+            t = np.empty((cm.n, min(step, points.size)), dtype=complex)
+        else:
+            step = max(1, _BLOCK_POINTS // cm.n)
+        for lo in range(0, points.size, step):
+            block = points[lo : lo + step]
             ports = x[:, lo : lo + block.size]
             if poles is None:
-                ports[...] = _lu_columns(cm, block).reshape(-1, 2 * cm.n).take([0, 1, -2, -1], axis=1).T
+                ports[...] = _lu_columns(system_matrix(cm, block)).reshape(-1, 2 * cm.n).T.take(_PORT_ENTRIES, axis=0)
             else:
                 scratch = t[:, : block.size]
                 np.subtract(block, lam[:, None], out=scratch)
                 np.reciprocal(scratch, out=scratch)
                 np.matmul(residues, scratch, out=ports)
-            _s_block(cm, block, ports, factors, constants)
+            _s_block(block, ports, factors, None if moot else _system_matrix_max_abs(cm, block, constants))
     return out
 
 
-def _port_factors(cm: CouplingMatrix) -> np.ndarray:
-    """F in S = I + F x, x the port entries of inv(A), as a (4, 1) column
-    (row 2 p + q for entry (p, q)): -2 / qe on the diagonal, 2 / sqrt(qe1 qen)
-    off it. Complex, so that scaling x in place takes no cast; a real factor
-    becomes the same complex number either way. As numpy floats, a factor
-    that overflows or divides by an underflowed qe1 qen is infinite, and
-    the guard reports it. Callers silence the warnings."""
-    c = 2.0 / np.sqrt(cm.qe1 * cm.qen)
-    return np.array([-2.0 / cm.qe1, c, c, -2.0 / cm.qen], dtype=complex)[:, None]
+@functools.lru_cache(maxsize=64)
+def _port_factors(qe1: float, qen: float) -> np.ndarray:
+    """F in S = I + F x, x the port entries of inv(A), as a read-only (4, 1)
+    column (row 2 p + q for entry (p, q)): -2 / qe on the diagonal,
+    2 / sqrt(qe1 qen) off it. Complex, so that scaling x in place takes no
+    cast; a real factor becomes the same complex number either way. As
+    numpy floats, a factor that overflows or divides by an underflowed
+    qe1 qen is infinite, and the guard reports it. Cached, since the
+    optimizer's trials keep the qe of their start unless qe is free.
+    Callers silence the warnings."""
+    c = 2.0 / np.sqrt(qe1 * qen)
+    factors = np.array([-2.0 / qe1, c, c, -2.0 / qen], dtype=complex)[:, None]
+    factors.setflags(write=False)
+    return factors
 
 
-def _s_block(cm: CouplingMatrix, s: np.ndarray, x: np.ndarray, factors: np.ndarray, constants) -> np.ndarray:
+def _s_block(s: np.ndarray, x: np.ndarray, factors: np.ndarray, scale) -> np.ndarray:
     """S in place of x, the port entries of inv(A) (rows and columns first
     and last) at the points of the 1-d s, as (4, s.size) with entry (p, q)
-    in row 2 p + q: x is scaled by _port_factors and 1 is added to rows 0
-    and 3, so no second block is allocated; x is returned. The guard runs
-    unless constants, _diagonal_constants(cm), is None; its cond2 test
-    reads |x| before the scaling and its finiteness test reads S after."""
-    x_abs = None if constants is None else np.abs(x)
+    in row 2 p + q: x is scaled by factors, _port_factors(qe1, qen), and 1 is
+    added to rows 0 and 3, so no second block is allocated; x is returned.
+    The guard runs unless scale, max|A_ij| at each point, is None; its
+    cond2 test reads |x| before the scaling and its finiteness test reads
+    S after."""
+    x_abs = None if scale is None else np.abs(x)
     x *= factors
     x[::3] += 1.0
-    if constants is not None:
-        _guard(cm, s, x_abs, x, constants)
+    if scale is not None:
+        _guard(s, scale, x_abs, x)
     return x
 
 
 def _lu_scattering(cm: CouplingMatrix, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cost's route, whose Jacobian reads the full solutions: _lu_columns'
-    point-major s.shape + (n, 2) solutions, left as they are, and S, formed
-    by _s_block on a point-major copy of their port entries and returned as
-    (2, 2) + s.shape. Callers silence the warnings."""
-    full = _lu_columns(cm, s)
-    x = full.reshape(-1, 2 * cm.n).take([0, 1, -2, -1], axis=1).T
-    _s_block(cm, s.ravel(), x, _port_factors(cm), _diagonal_constants(cm))
+    """cost's route, whose Jacobian reads the full solutions, at the points
+    of the 1-d s: _lu_columns' (s.size, n, 2) solutions, left as they are,
+    and S, formed by _s_block on a port-major copy of their port entries
+    and returned as (2, 2) + s.shape. A is built once; the guard's scale is
+    its largest entry at each point. Callers silence the warnings."""
+    a = system_matrix(cm, s)
+    full = _lu_columns(a)
+    x = full.reshape(-1, 2 * cm.n).T.take(_PORT_ENTRIES, axis=0)
+    _s_block(s, x, _port_factors(cm.qe1, cm.qen), np.abs(a).max(axis=(1, 2)))
     return full, x.reshape((2, 2) + s.shape)
 
 
-def _lu_columns(cm: CouplingMatrix, s: np.ndarray) -> np.ndarray:
-    """inv(A(s)) [e1, en]: one LU solve of A(s) per point against both
-    port unit vectors. Where A is exactly singular the entries are NaN,
-    which the guard reports."""
-    a = system_matrix(cm, s)
-    # as many axes as a: numpy 1.x's solve reads a b of one axis fewer as vectors
-    rhs = np.zeros((1,) * s.ndim + (cm.n, 2), dtype=complex)
-    rhs[..., 0, 0] = rhs[..., -1, 1] = 1.0
+def _lu_columns(a: np.ndarray) -> np.ndarray:
+    """inv(A) [e1, en] for each A of the (k, n, n) stack a: one LU solve
+    per point against both port unit vectors. Where A is exactly singular
+    the point's entries are NaN, which the guard reports."""
     try:
-        return np.linalg.solve(a, rhs)
+        return np.linalg.solve(a, _port_columns(a.shape[-1]))
     except np.linalg.LinAlgError:
-        if s.ndim == 0:
-            return np.full((cm.n, 2), np.nan, dtype=complex)
+        if len(a) == 1:
+            return np.full((1, a.shape[-1], 2), np.nan, dtype=complex)
         # the batched solve does not say where: solve point by point
-        return np.array([_lu_columns(cm, point) for point in s.ravel()]).reshape(s.shape + (cm.n, 2))
+        return np.concatenate([_lu_columns(point) for point in a[:, None]])
+
+
+@functools.lru_cache(maxsize=32)
+def _port_columns(n: int) -> np.ndarray:
+    """The read-only right-hand side [e1, en] of order n, as (1, n, 2): as
+    many axes as a stack of A, since numpy 1.x's solve reads a b of one
+    axis fewer as vectors."""
+    rhs = np.zeros((1, n, 2), dtype=complex)
+    rhs[..., 0, 0] = rhs[..., -1, 1] = 1.0
+    rhs.setflags(write=False)
+    return rhs
 
 
 # Points per block of the kernel's pass. The residue scratch s - lam of one
-# block, n * 64 KiB, stays in a 2 MiB L2 up to n = 20; an LU block's A is
-# n^2 * 64 KiB. On a 2-core x86 VM, 100k-point residue passes at n = 4 to
-# 20 took 20-40% longer with blocks of 1024 and 2048, which pay the
-# per-block calls more often, and were within noise from 4096 to 16384.
+# block, n * 64 KiB, stays in a 2 MiB L2 up to n = 20; an LU block takes
+# _BLOCK_POINTS // n points, so that its A is as large. On a 2-core x86 VM,
+# 100k-point residue passes at n = 4 to 20 took 20-40% longer with blocks
+# of 1024 and 2048, which pay the per-block calls more often, and were
+# within noise from 4096 to 16384.
 _BLOCK_POINTS = 4096
 
 
@@ -255,20 +285,18 @@ def _no_point_can_fail(cm: CouplingMatrix, s: np.ndarray, lam: np.ndarray, resid
     return scale * reach * (1.0 + 1e-9) <= _COND_LIMIT
 
 
-def _guard(cm: CouplingMatrix, s, x_abs, values, constants) -> None:
+def _guard(s: np.ndarray, scale: np.ndarray, x_abs: np.ndarray, values: np.ndarray) -> None:
     """The one singularity test of every route, port-major.
 
-    s is 1-d; x_abs holds |entries of inv(A)| and values the S-parameters,
-    both of shape (k, s.size), one row per port entry, and constants is
-    _diagonal_constants(cm). max|A_ij| * max|x| is a lower bound on
-    cond2(A); a point is singular where it passes _COND_LIMIT or where an
-    S-parameter is not finite (2 / qe overflows for a denormal qe, or A is
-    exactly singular). max|A_ij| is the larger of the largest coupling and
-    the largest |s + d| over the distinct constants d on the diagonal of
-    A - s I, so A is never formed. The error names the first such point.
+    s is 1-d and scale holds max|A_ij| at each of its points; x_abs holds
+    |entries of inv(A)| and values the S-parameters, both of shape
+    (k, s.size), one row per port entry. max|A_ij| * max|x| is a lower
+    bound on cond2(A); a point is singular where it passes _COND_LIMIT or
+    where an S-parameter is not finite (2 / qe overflows for a denormal qe,
+    or A is exactly singular). The error names the first such point.
     Callers silence the warnings.
     """
-    ok = (_system_matrix_max_abs(cm, s, constants) * x_abs <= _COND_LIMIT) & np.isfinite(values)
+    ok = (scale * x_abs <= _COND_LIMIT) & np.isfinite(values)
     if not ok.all():
         raise SingularFrequencyError(f"filter matrix singular at s = {s[~ok.all(axis=0)][0]}")
 
@@ -287,7 +315,9 @@ def _diagonal_constants(cm: CouplingMatrix) -> tuple[np.ndarray, float]:
 
 def _system_matrix_max_abs(cm: CouplingMatrix, s: np.ndarray, constants) -> np.ndarray:
     """max|A_ij| of A = system_matrix(cm, s) at every point of s, from
-    constants, _diagonal_constants(cm).
+    constants, _diagonal_constants(cm), so that a sweep's guard never forms
+    A: the larger of the largest coupling and the largest |s + d| over the
+    distinct constants d on the diagonal of A - s I.
 
     |s + d| is formed once per distinct diagonal constant d, along a
     leading axis, and reduced over it: a short trailing axis reduces slowly.
@@ -358,9 +388,9 @@ def sweep(
     agrees with s_matrix to rounding: within 1e-13 on Chebyshev designs up
     to order 16 (2.3e-13 at order 20), and within 4e-12 on 2000 random
     lossless matrices up to order 20. It holds the 64 B per point of the S
-    block it returns plus one block's scratch, O(n) per point on the residue
-    path and O(n^2) on LU (about 10 MB traced in all for 100k points at n
-    = 4 to 20 on residues, and on LU at n = 2).
+    block it returns plus one block's scratch, about n * 64 KiB on either
+    path (LU blocks hold _BLOCK_POINTS // n points): about 10 MB traced in
+    all for 100k points at n = 4 to 20 on residues and n = 2 to 20 on LU.
     """
     if not is_whole(points, least=2):
         raise InvalidSpecError(f"points must be an integer >= 2, got {points}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from resonet.coupling import CouplingMatrix, system_matrix
 from resonet.errors import InvalidSpecError
-from resonet.response import _diagonal_constants, _guard
+from resonet.response import _guard
 
 
 def s_parameters_cramer(cm: CouplingMatrix, s: complex) -> tuple[complex, complex]:
@@ -38,7 +38,7 @@ def s_parameters_cramer(cm: CouplingMatrix, s: complex) -> tuple[complex, comple
         x_port = np.array([[cof11], [cof1n]]) / det
         s11 = 1.0 - (2.0 / cm.qe1) * x_port[0, 0]
         s21 = (2.0 / np.sqrt(cm.qe1 * cm.qen)) * x_port[1, 0]
-        _guard(cm, np.asarray(s).reshape(1), np.abs(x_port), np.array([[s11], [s21]]), _diagonal_constants(cm))
+        _guard(np.reshape(s, 1), np.abs(a).max().reshape(1), np.abs(x_port), np.array([[s11], [s21]]))
     return s11, s21
 
 

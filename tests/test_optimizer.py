@@ -5,7 +5,7 @@ import pytest
 
 import resonet as rn
 from oracles import residuals_all_columns
-from resonet.errors import InvalidSpecError, NumericalError
+from resonet.errors import InvalidSpecError, NumericalError, SingularFrequencyError
 from resonet.optimizer import _checked_cost, _gather, _orbits, _positions, _residuals, _vector
 
 # The descent methods that share the monotone, deterministic contract.
@@ -90,6 +90,24 @@ def test_cost_detects_detuning(cm4, config4):
     m[1, 0] = m[0, 1]
     detuned = rn.CouplingMatrix(m=m, qe1=cm4.qe1, qen=cm4.qen)
     assert rn.cost(detuned, config4) > 1e-3
+
+
+def test_cost_names_a_singular_target_point():
+    # The uncoupled middle resonator, tuned to the middle reflection zero,
+    # makes A exactly singular at that target: the batched solve raises, and
+    # the per-point solves and the guard name the point.
+    spec = rn.FilterSpec(order=3, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+    config = rn.CostConfig.from_spec(spec)
+    w = config.zero_omegas[1]
+    m = np.array([[0.0, 0.0, 0.9], [0.0, w, 0.0], [0.9, 0.0, 0.0]])
+    cm = rn.CouplingMatrix(m=m, qe1=1.0, qen=1.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(rn.system_matrix(cm, config._points), np.eye(3)[:, [0, -1]])
+    with pytest.raises(SingularFrequencyError) as err:
+        rn.cost(cm, config)
+    assert str(err.value) == "filter matrix singular at s = 6.123233995736766e-17j"
+    m[1, 1] = w + 1e-6
+    assert np.isfinite(rn.cost(rn.CouplingMatrix(m=m, qe1=1.0, qen=1.0), config))
 
 
 def test_cost_nonnegative_random(config4, random_lossless):

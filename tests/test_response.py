@@ -177,6 +177,35 @@ def test_guard_scale_is_max_abs_of_the_system_matrix(diagonal, random_lossless):
             assert np.array_equal(_system_matrix_max_abs(cm, s, _diagonal_constants(cm)), expected)
 
 
+def test_target_guard_scale_read_off_a_is_the_sweeps_bit_for_bit(monkeypatch, random_lossless):
+    # cost's route reads max|A_ij| off the A it solves; the sweep forms it
+    # from the diagonal constants without A. Both must give the same bits.
+    scales = []
+    s_block = response._s_block
+
+    def spy(s, x, factors, scale):
+        scales.append(scale)
+        return s_block(s, x, factors, scale)
+
+    monkeypatch.setattr(response, "_s_block", spy)
+    rng = np.random.default_rng(25)
+    block = 1j * rn.normalized_frequency(np.linspace(9e9, 11e9, 101), rn.bundled_filter_spec("xband-4pole"))
+    assert block.imag.min() < 0 < block.imag.max()
+    for order in range(2, 21):
+        cm = random_lossless(rng, order)  # a nonzero diagonal, qe1 != qen
+        assert np.all(cm.m.diagonal() != 0) and cm.qe1 != cm.qen
+        spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+        for s in (rn.CostConfig.from_spec(spec)._points, block):
+            scales.clear()
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                try:
+                    response._lu_scattering(cm, s)
+                except SingularFrequencyError:
+                    pass  # the guard ran on the scale
+            assert len(scales) == 1
+            assert scales[0].tobytes() == _system_matrix_max_abs(cm, s, _diagonal_constants(cm)).tobytes()
+
+
 def test_mapping_fixed_point_and_monotonicity(xband4):
     assert rn.normalized_frequency(xband4.f0_hz, xband4) == 0.0
     f = np.linspace(1e9, 20e9, 200)
@@ -263,11 +292,16 @@ def test_sweep_is_s_matrix_on_the_grid(cm4, xband4):
         assert np.abs(diff).max() <= 1e-13
 
 
-def near_exceptional(m12=0.5 + 1e-9):
+def near_exceptional(m12=0.5 + 1e-9, order=2):
     """M = [[-2, j m12], [j m12, -1]] has a double, defective pole at -1.5
     for m12 = 0.5; its eigenvectors are ill-conditioned (cond ~ 3e4 at
-    0.5 + 1e-9), where pole residues lose ~1e-11 and the sweep uses LU."""
-    return rn.CouplingMatrix(m=np.array([[0.0, m12], [m12, 0.0]]), qe1=0.5, qen=1.0)
+    0.5 + 1e-9), where pole residues lose ~1e-11 and the sweep uses LU.
+    At a higher order the pair is resonators 1 and n, and the n - 2
+    resonators between them are uncoupled and detuned across the grid."""
+    m = np.zeros((order, order))
+    m[0, -1] = m[-1, 0] = m12
+    m[range(1, order - 1), range(1, order - 1)] = np.linspace(-3.0, 3.0, order)[1:-1]
+    return rn.CouplingMatrix(m=m, qe1=0.5, qen=1.0)
 
 
 @pytest.mark.parametrize("m12", [0.5, 0.5 + 1e-9])
@@ -408,14 +442,18 @@ def test_blocked_guard_decides_as_one_block_does(place, monkeypatch, xband4):
     assert outcomes[2] == ("SingularFrequencyError", f"filter matrix singular at s = {1j * w}")
 
 
-@pytest.mark.parametrize("order", [4, 8, 16, 20, "near-exceptional"])
+@pytest.mark.parametrize("order", [4, 8, 16, 20, "near-exceptional", "near-exceptional-20"])
 def test_sweep_memory_is_the_s_block_not_the_order(order, xband4):
     # a 100k-point sweep allocates its 64 B per point of S once, plus
     # scratch that does not grow with the grid: no (n, points) temporary
     # on the residue path, and no (points, n, n) one on the LU path, which
-    # the near-exceptional 2x2 takes
+    # the near-exceptional matrices take; nor, at order 20, an LU block of
+    # _BLOCK_POINTS n x n matrices
     if order == "near-exceptional":
         spec, cm = xband4, near_exceptional()
+        assert response._residue_ports(cm) is None
+    elif order == "near-exceptional-20":
+        spec, cm = xband4, near_exceptional(order=20)
         assert response._residue_ports(cm) is None
     else:
         spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
@@ -464,7 +502,7 @@ def test_lu_path_names_a_singular_point_in_a_later_block(monkeypatch, xband4):
     message = f"filter matrix singular at s = {1j * w}"
     with pytest.raises(SingularFrequencyError) as blocked:
         rn.sweep(cm, xband4, 9e9, 11e9, points)
-    monkeypatch.setattr(response, "_BLOCK_POINTS", points)  # one block
+    monkeypatch.setattr(response, "_BLOCK_POINTS", 3 * points)  # one LU block of points points
     with pytest.raises(SingularFrequencyError) as whole:
         rn.sweep(cm, xband4, 9e9, 11e9, points)
     assert str(blocked.value) == str(whole.value) == message
