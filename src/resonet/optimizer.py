@@ -396,7 +396,7 @@ def optimize(
                 steps = [_INITIAL_STEP * abs(p[orbit[0]]) or 0.01 for orbit in orbits]
 
     return OptimizationResult(
-        final=_matrix(p, n),
+        final=current.cm,  # the matrix of the last accepted cost, which p holds
         final_cost=float(current),
         iterations=iterations,
         converged=converged,

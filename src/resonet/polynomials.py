@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingMatrix, pole_matrix
+from .coupling import CouplingMatrix, _eigenpairs, pole_matrix
 from .errors import InvalidSpecError, NumericalError, SingularFrequencyError
 from .response import _scattering
 
@@ -87,12 +87,10 @@ def extract_polynomials(cm: CouplingMatrix) -> CharacteristicPolynomials:
     if cm.n < 2:
         raise InvalidSpecError("polynomial extraction needs order >= 2")
     mm = pole_matrix(cm)
-    mf = mm.copy()
-    mf[0, 0] += 2.0 / cm.qe1
     sub = mm[1:, :-1]
     try:
-        e_roots = np.linalg.eigvals(mm)
-        f_roots = np.linalg.eigvals(mf)
+        e_roots = _eigenpairs(cm)[0]
+        f_roots = _eigenpairs(cm, reflection=True)[0]
         if np.any(np.tril(sub, -1)):
             import scipy.linalg  # only cross-coupled matrices pay for the import
 
@@ -101,10 +99,8 @@ def extract_polynomials(cm: CouplingMatrix) -> CharacteristicPolynomials:
         else:
             p_roots = ()
     except np.linalg.LinAlgError as err:  # scipy.linalg raises this class too
-        raise NumericalError(
-            f"eigen solve failed on an order-{cm.n} matrix "
-            f"(cond ~ {np.linalg.cond(mm):.3e})"
-        ) from err
+        cond = np.linalg.cond(mm)
+        raise NumericalError(f"eigen solve failed on an order-{cm.n} matrix (cond ~ {cond:.3e})") from err
     return CharacteristicPolynomials(
         e_roots=tuple(e_roots),
         f_roots=tuple(f_roots),
@@ -113,9 +109,7 @@ def extract_polynomials(cm: CouplingMatrix) -> CharacteristicPolynomials:
     )
 
 
-def response_from_polynomials(
-    cp: CharacteristicPolynomials, s: complex
-) -> tuple[float, float]:
+def response_from_polynomials(cp: CharacteristicPolynomials, s: complex) -> tuple[float, float]:
     """Evaluate (|S11|, |S21|) from the root products.
 
     Magnitudes only: the relative phase between this route and the

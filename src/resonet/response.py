@@ -3,27 +3,26 @@
 One kernel computes every S-parameter over an array of complex
 frequencies, port-major: S_pq over the grid is the contiguous row
 result[p, q] of its one (2, 2) + s.shape result. It fills that result in
-one streamed pass over blocks of points, each turned into S in
-place, and takes a block's port entries of inv(A) by one of two routes.
-Short inputs (the one-point s_parameters and s_matrix) solve A(s) by LU
-per point against both port unit vectors. Long sweeps take the
-pole-residue form: one eigen-decomposition of the pole matrix, then per
-block a pole-major reciprocal and one product with the residues, O(n) per
-point; near an exceptional point, where that form loses accuracy, they
-take LU. A sweep holds the 64 B per point of its result plus one block's
-scratch, about n * 64 KiB on either route: residue blocks have a fixed
-number of points and O(n) scratch per point, LU blocks n times fewer
-points and O(n^2) scratch per point.
+one streamed pass over blocks of points, each turned into S in place, and
+takes a block's port entries of inv(A) by one of two routes. Short inputs
+(the one-point s_parameters and s_matrix) solve A(s) by LU per point
+against both port unit vectors. Long sweeps take the pole-residue form:
+one eigen solve of the complex-symmetric pole matrix, whose inverse
+eigenvector matrix is diag(1 / d) V^T, then per block a pole-major
+reciprocal and one product with the residues, O(n) per point, S21 a copy
+of S12; near an exceptional point or a repeated pole, where that form
+loses accuracy, they take LU. A sweep holds the 64 B per point of its
+result plus one block's scratch, about n * 64 KiB on either route.
 Both routes, and the optimizer's target solve (_lu_scattering), share one
 singularity guard on max|A_ij| at each point: the target solve reads it
 off the A it solves, a sweep forms it from A's diagonal constants without
 A, to the same bits. On the residue route one bound per matrix,
 sum_k |r_k| / |Re lam_k|, often proves that no point of the grid can fail
-it, and the guard is skipped. Within one numpy/BLAS stack
-an LU-route grid equals per-point s_matrix and a grid gives the same
-bytes on every call; the residue route's last bits depend on the BLAS
-kernel's GEMM. The tests check the kernel against a determinant/cofactor
-reference (tests/oracles.py) under the same guard.
+it, and the guard is skipped. Within one numpy/BLAS stack an LU-route
+grid equals per-point s_matrix and a grid gives the same bytes on every
+call; the residue route's last bits depend on the BLAS kernel's GEMM. The
+tests check the kernel against a determinant/cofactor reference
+(tests/oracles.py) under the same guard.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import is_whole
-from .coupling import CouplingMatrix, pole_matrix, system_matrix
+from .coupling import CouplingMatrix, _eigenpairs, system_matrix
 from .errors import InsufficientSpanError, InvalidSpecError, NoPassbandError, SingularFrequencyError
 from .prototype import FilterSpec
 
@@ -63,10 +62,16 @@ _PORT_ENTRIES = np.array([0, 1, -2, -1])
 # and 16 points, LU takes 42 us and the residue form 73 us).
 _RESIDUE_POINTS_PER_POLE = 4
 
-# The residue form loses about 1e-16 * cond(V) against LU, and cond(V)
-# grows without bound near an exceptional point of M (a double pole).
-# Above this 1-norm estimate of cond(V) the sweep uses LU instead.
-_EIGVEC_COND_LIMIT = 1e4
+# The residue form's error against LU grows as (0.4 to 2)e-15 * kappa^2 in
+# the largest eigenvalue condition number kappa_k = 1 / |d_k|: on the tests'
+# near_exceptional pair, kappa reads 16, 50, 158 and 1.6e3 and the error
+# 2.8e-13, 2.4e-12, 2.2e-11 and 8.9e-10 at m12 = 0.5 + 1e-3, 1e-4, 1e-5 and
+# 1e-7. And inv(V) = diag(1 / d) V^T only where V^T V is diagonal: off it,
+# |v_i^T v_j| / sqrt(|d_i d_j|) reads up to 2e-13 on distinct poles and up
+# to order 1 where eig mixes the vectors of a (nearly) repeated pole. Past
+# either limit the sweep uses LU; at kappa = 40 the kappa^2 term is ~3e-12.
+_KAPPA_LIMIT = 40.0
+_GRAM_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +136,9 @@ def _scattering(cm: CouplingMatrix, s):
     _RESIDUE_POINTS_PER_POLE points per resonator and more than 48 in all
     take them from the pole residues, in one (n, _BLOCK_POINTS) scratch
     array, guarded only where _no_point_can_fail cannot rule a failure
-    out. Other inputs, and ill-conditioned eigenbases, take one LU solve
-    per point under the guard, in blocks of _BLOCK_POINTS // n points, so
-    that a block's A holds as many bytes as the residue scratch.
+    out. Other inputs, and matrices _residue_ports refuses, take one LU
+    solve per point under the guard, in blocks of _BLOCK_POINTS // n points,
+    so that a block's A holds as many bytes as the residue scratch.
     """
     s = np.asarray(s, dtype=complex)
     points = s.ravel()
@@ -160,6 +165,7 @@ def _scattering(cm: CouplingMatrix, s):
                 np.subtract(block, lam[:, None], out=scratch)
                 np.reciprocal(scratch, out=scratch)
                 np.matmul(residues, scratch, out=ports)
+                ports[2] = ports[1]  # S21 is S12, bit for bit
             _s_block(block, ports, factors, None if moot else _system_matrix_max_abs(cm, block, constants))
     return out
 
@@ -244,22 +250,23 @@ _BLOCK_POINTS = 4096
 
 def _residue_ports(cm: CouplingMatrix) -> tuple[np.ndarray, np.ndarray] | None:
     """The poles lam and the (4, n) port residues of cm, row 2 p + q
-    holding r_pq, or None when the eigen solve fails or V is too
-    ill-conditioned for the residue sum to keep the LU accuracy.
+    holding r_pq, or None where the eigen solve fails or passes a limit.
 
-    With M = V diag(lam) inv(V), inv(A(s)) = V diag(1 / (s - lam)) inv(V),
-    so entry (p, q) is sum_k r_pqk / (s - lam_k), r_pqk = V[p, k] inv(V)[k, q]:
-    one eigen solve, then O(n) work per point and no n x n matrix per point
-    (Cameron, Kudsia & Mansour, ch. 8).
+    inv(A(s)) = V diag(1 / (s - lam)) inv(V) with inv(V) = diag(1 / d) V^T
+    (coupling._eigenpairs), so entry (p, q) is sum_k r_pqk / (s - lam_k),
+    r_pqk = V[p, k] V[q, k] / d_k, and rows 1 and 2 are equal: O(n) work per
+    point after one eigen solve (Cameron, Kudsia & Mansour, ch. 8).
     """
     try:
-        lam, v = np.linalg.eig(pole_matrix(cm))
-        w = np.linalg.inv(v)
+        lam, v, d = _eigenpairs(cm)
     except np.linalg.LinAlgError:
         return None
-    if not np.abs(v).sum(axis=0).max() * np.abs(w).sum(axis=0).max() <= _EIGVEC_COND_LIMIT:
+    size = np.abs(d)
+    off = np.abs(v.T @ v - np.diag(d))
+    if not (size.min() * _KAPPA_LIMIT >= 1.0 and (off <= _GRAM_TOL * np.sqrt(np.outer(size, size))).all()):
         return None
-    return lam, (v[[0, -1], None, :] * w[:, [0, -1]].T).reshape(4, cm.n)
+    ends = v[[0, -1]]
+    return lam, (ends[[0, 0, 1]] * ends[[0, 1, 1]] / d)[[0, 1, 1, 2]]
 
 
 def _no_point_can_fail(cm: CouplingMatrix, s: np.ndarray, lam: np.ndarray, residues: np.ndarray) -> bool:
@@ -371,13 +378,7 @@ def band_edge_frequencies(spec: FilterSpec) -> tuple[float, float]:
     )
 
 
-def sweep(
-    cm: CouplingMatrix,
-    spec: FilterSpec,
-    f_start_hz: float,
-    f_stop_hz: float,
-    points: int,
-) -> FrequencyResponse:
+def sweep(cm: CouplingMatrix, spec: FilterSpec, f_start_hz: float, f_stop_hz: float, points: int) -> FrequencyResponse:
     """Evaluate the full two-port S-matrix on a linear frequency grid.
 
     S11, S21, S12 and S22 all come from one kernel call at s = j omega,
@@ -385,12 +386,13 @@ def sweep(
     gives the same bytes on every call, and a grid of at most max(4 n, 48)
     points equals s_matrix at each point exactly. A longer grid takes the
     pole-residue path, whose last bits depend on the BLAS kernel, and
-    agrees with s_matrix to rounding: within 1e-13 on Chebyshev designs up
-    to order 16 (2.3e-13 at order 20), and within 4e-12 on 2000 random
-    lossless matrices up to order 20. It holds the 64 B per point of the S
-    block it returns plus one block's scratch, about n * 64 KiB on either
-    path (LU blocks hold _BLOCK_POINTS // n points): about 10 MB traced in
-    all for 100k points at n = 4 to 20 on residues and n = 2 to 20 on LU.
+    agrees with s_matrix to rounding, with S21 a copy of S12: on 100k
+    points over 9-11 GHz within 1.4e-13 on Chebyshev designs up to order 15
+    and 3.6e-13 up to order 20, and on 2001 points over omega -3 to 3 within
+    1.5e-11 on 950 random lossless matrices up to order 20 (OpenBLAS, x86).
+    It holds the 64 B per point of the S block it returns plus one block's
+    scratch, about n * 64 KiB on either path: about 10 MB traced in all for
+    100k points at n = 4 to 20 on residues and n = 2 to 20 on LU.
     """
     if not is_whole(points, least=2):
         raise InvalidSpecError(f"points must be an integer >= 2, got {points}")
@@ -407,11 +409,7 @@ def sweep(
 
 
 def sweep_two_port(
-    cm: CouplingMatrix,
-    spec: FilterSpec,
-    f_start_hz: float,
-    f_stop_hz: float,
-    points: int,
+    cm: CouplingMatrix, spec: FilterSpec, f_start_hz: float, f_stop_hz: float, points: int
 ) -> tuple[FrequencyResponse, np.ndarray, np.ndarray]:
     """sweep, returned as (response, response.s12, response.s22).
 
@@ -428,10 +426,7 @@ def _interp_crossing(x0, y0, x1, y1, level):
     return x0 + (level - y0) * (x1 - x0) / (y1 - y0)
 
 
-def analyze_response(
-    resp: FrequencyResponse,
-    level_db: float,
-) -> ResponseMetrics:
+def analyze_response(resp: FrequencyResponse, level_db: float) -> ResponseMetrics:
     """Measure the passband where |S11| stays at or below level_db.
 
     The band is the longest contiguous run of samples meeting the level;
@@ -448,18 +443,10 @@ def analyze_response(
     if not below.any():
         raise NoPassbandError(f"no samples with |S11| <= {level_db} dB")
 
-    # longest contiguous run of in-band samples
-    runs = []
-    start = None
-    for i, flag in enumerate(below):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, below.size - 1))
-    a, b = max(runs, key=lambda r: r[1] - r[0])
+    # the longest contiguous run of in-band samples, the first of equals
+    flips = np.flatnonzero(np.diff(np.concatenate(([False], below, [False]))))
+    k = int(np.argmax(flips[1::2] - flips[::2]))
+    a, b = int(flips[2 * k]), int(flips[2 * k + 1]) - 1
 
     f = resp.grid
     if a == 0 or b == f.size - 1:
@@ -467,14 +454,12 @@ def analyze_response(
     f_lo = _interp_crossing(f[a - 1], s11_db[a - 1], f[a], s11_db[a], level_db)
     f_hi = _interp_crossing(f[b], s11_db[b], f[b + 1], s11_db[b + 1], level_db)
 
-    zeros = 0
-    for i in range(a, b + 1):
-        if s11_db[i] < s11_db[i - 1] and s11_db[i] < s11_db[i + 1] and s11_db[i] <= ZERO_FLOOR_DB:
-            zeros += 1
+    band = s11_db[a : b + 1]
+    zeros = int(np.count_nonzero((band < s11_db[a - 1 : b]) & (band < s11_db[a + 1 : b + 2]) & (band <= ZERO_FLOOR_DB)))
 
     return ResponseMetrics(
         f_center=0.5 * (f_lo + f_hi),
         bandwidth_at_level=f_hi - f_lo,
-        max_inband_s11_db=float(s11_db[a : b + 1].max()),
+        max_inband_s11_db=float(band.max()),
         reflection_zero_count=zeros,
     )

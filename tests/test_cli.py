@@ -603,6 +603,19 @@ def test_cli_import_loads_no_scipy():
     assert done.returncode == 0 and done.stdout.strip() == "[]"
 
 
+def test_optimize_with_an_overflowing_qe_exits_6_without_a_warning(table2_design, tmp_path):
+    # 1 / qe1 overflows: the start's polynomials fail as a NumericalError,
+    # not with a RuntimeWarning on stderr, and the optimizer's first cost
+    # reports the singular filter matrix
+    record = json.loads(table2_design.read_text())
+    record["matrix"]["qe1"] = 1e-310
+    design = tmp_path / "dq.json"
+    design.write_text(json.dumps(record))
+    done = run_python("-m", "resonet", "optimize", "--design", str(design), "--out", str(tmp_path / "dq2.json"))
+    assert done.returncode == 6
+    assert re.fullmatch(r"error: filter matrix singular at s = \S+\n", done.stderr)
+
+
 # Prints whether numpy was loaded after `import resonet, resonet.cli`, the
 # exit code of main(argv), and whether numpy was loaded after it.
 START_UP_PROBE = (

@@ -170,6 +170,13 @@ def test_a_failed_pencil_solve_is_a_numerical_error(cm4, monkeypatch, raised, ex
         rn.extract_polynomials(rn.CouplingMatrix(m=m, qe1=cm4.qe1, qen=cm4.qen))
 
 
+def test_an_overflowing_reflection_term_is_a_numerical_error(cm4):
+    # 1 / qe1 and 2 / qe1 overflow: M_F reads -inf + inf at [0, 0], which
+    # must reach the eigen solve as NaN without a RuntimeWarning
+    with pytest.raises(NumericalError, match="eigen solve failed"):
+        rn.extract_polynomials(rn.CouplingMatrix(m=cm4.m, qe1=1e-310, qen=cm4.qen))
+
+
 def test_epsilon_positive_and_stable(cp4):
     assert cp4.epsilon > 0
     assert cp4.epsilon == pytest.approx(0.8000064032, rel=1e-6)

@@ -294,8 +294,8 @@ def test_sweep_is_s_matrix_on_the_grid(cm4, xband4):
 
 def near_exceptional(m12=0.5 + 1e-9, order=2):
     """M = [[-2, j m12], [j m12, -1]] has a double, defective pole at -1.5
-    for m12 = 0.5; its eigenvectors are ill-conditioned (cond ~ 3e4 at
-    0.5 + 1e-9), where pole residues lose ~1e-11 and the sweep uses LU.
+    for m12 = 0.5; near it the poles are ill-conditioned (max kappa 1.6e4 at
+    0.5 + 1e-9), where pole residues lose accuracy and the sweep uses LU.
     At a higher order the pair is resonators 1 and n, and the n - 2
     resonators between them are uncoupled and detuned across the grid."""
     m = np.zeros((order, order))
@@ -304,12 +304,42 @@ def near_exceptional(m12=0.5 + 1e-9, order=2):
     return rn.CouplingMatrix(m=m, qe1=0.5, qen=1.0)
 
 
-@pytest.mark.parametrize("m12", [0.5, 0.5 + 1e-9])
-def test_sweep_near_exceptional_point_matches_point_route(m12, xband4):
-    cm = near_exceptional(m12)
+def port_stubs(detuning=0.0):
+    """n = 6: ports 1 and 6 coupled by 1, and on each port resonator two
+    stubs coupled by 0.7 and tuned to 0.3 and 0.3 + detuning. The stubs'
+    difference modes never reach the ports; at detuning 0 they share the
+    repeated pole 0.3j, and eig's vectors for it need not be orthogonal
+    under v^T v (1.68 relative off its diagonal), nor, at 1e-8, for the
+    nearly repeated pair."""
+    m = np.zeros((6, 6))
+    m[0, 5] = m[5, 0] = 1.0
+    for port, stubs in ((0, (1, 2)), (5, (3, 4))):
+        for stub, tuning in zip(stubs, (0.3, 0.3 + detuning)):
+            m[port, stub] = m[stub, port] = 0.7
+            m[stub, stub] = tuning
+    return rn.CouplingMatrix(m=m, qe1=1.0, qen=1.0)
+
+
+# m12 = 0.5 + delta for delta = 0 and 1e-9 to 1e-1, and port_stubs' repeated
+# and nearly repeated poles, on whichever route each takes
+@pytest.mark.parametrize(
+    "m12", [0.5, 0.5 + 1e-9, 0.5 + 1e-7, 0.5 + 1e-5, 0.5 + 1e-3, 0.5 + 1e-1, "stubs", "stubs-1e-8"]
+)
+def test_sweep_near_exceptional_point_matches_point_route(m12, monkeypatch, xband4):
+    cm = near_exceptional(m12) if isinstance(m12, float) else port_stubs(1e-8 if m12 == "stubs-1e-8" else 0.0)
     resp = rn.sweep(cm, xband4, 9e9, 11e9, 1001)
     diff = swept_s_matrices(resp) - point_s_matrices(cm, resp, xband4)
     assert np.abs(diff).max() <= 1e-12
+    # at 100k points against the kernel's LU route, which is s_matrix point
+    # for point (checked at every 997th point)
+    resp = rn.sweep(cm, xband4, 9e9, 11e9, 100_000)
+    s = 1j * rn.normalized_frequency(resp.grid, xband4)
+    residues = response._residue_ports(cm) is not None
+    monkeypatch.setattr(response, "_residue_ports", lambda cm: None)
+    lu = np.moveaxis(rn.s_matrix(cm, s), -1, 0)
+    assert np.array_equal(lu[::997], [rn.s_matrix(cm, point) for point in s[::997]])
+    assert np.abs(swept_s_matrices(resp) - lu).max() <= 1e-12
+    assert not residues or resp.s12.tobytes() == resp.s21.tobytes()
 
 
 @st.composite
@@ -342,6 +372,7 @@ def test_sweep_agrees_with_lu_and_cramer(case):
         assume(False)
     resp = rn.sweep(cm, spec, f_lo, f_hi, points)
     got = swept_s_matrices(resp)
+    assert response._residue_ports(cm) is None or resp.s12.tobytes() == resp.s21.tobytes()
     # relative to max |S_pq|, which is >= 1/sqrt(2) for a unitary S
     scale = np.abs(ref).max(axis=(1, 2))
     assert np.all(np.abs(got - ref).max(axis=(1, 2)) <= 1e-9 * scale)
@@ -361,11 +392,10 @@ LAYOUT_TOL = 1e-14
 
 def point_major_residue_sweep(cm, resp, spec):
     """S on resp's grid from the point-major residue product
-    reciprocal(s[:, None] - lam) @ residues.T, of shape (points, 4)."""
+    reciprocal(s[:, None] - lam) @ residues.T, of shape (points, 4), with
+    the kernel's own poles and residues: this checks the layout, not them."""
     s = 1j * rn.normalized_frequency(resp.grid, spec)
-    lam, v = np.linalg.eig(rn.pole_matrix(cm))
-    w = np.linalg.inv(v)
-    residues = (v[[0, -1], None, :] * w[:, [0, -1]].T).reshape(4, cm.n)
+    lam, residues = response._residue_ports(cm)
     x = np.reciprocal(s[:, None] - lam) @ residues.T
     c = 2.0 / math.sqrt(cm.qe1 * cm.qen)
     out = np.array([-2.0 / cm.qe1, c, c, -2.0 / cm.qen]) * x
@@ -386,6 +416,7 @@ def test_sweep_is_the_point_major_residue_product(points, xband8, random_lossles
             resp = rn.sweep(cm, spec, 9e9, 11e9, count)
             got = np.stack([resp.s11, resp.s12, resp.s21, resp.s22], axis=1)
             assert np.abs(got - point_major_residue_sweep(cm, resp, spec)).max() <= LAYOUT_TOL
+            assert resp.s12.tobytes() == resp.s21.tobytes()
 
 
 def test_sweep_is_the_point_major_residue_product_across_block_boundaries(xband8, random_lossless):
@@ -401,6 +432,7 @@ def test_sweep_is_the_point_major_residue_product_across_block_boundaries(xband8
             resp = rn.sweep(cm, spec, 9e9, 11e9, count)
             got = np.stack([resp.s11, resp.s12, resp.s21, resp.s22], axis=1)
             assert np.abs(got - point_major_residue_sweep(cm, resp, spec)).max() <= LAYOUT_TOL
+            assert resp.s12.tobytes() == resp.s21.tobytes()
 
 
 @pytest.mark.parametrize("place", ["a later block", "the last block"])
