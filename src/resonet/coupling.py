@@ -40,6 +40,11 @@ class CouplingMatrix:
             raise InvalidSpecError("coupling matrix must be symmetric")
         if not (0 < self.qe1 < math.inf and 0 < self.qen < math.inf):
             raise InvalidSpecError("external quality factors must be positive and finite")
+        for name, qe in (("qe1", self.qe1), ("qen", self.qen)):
+            if 2.0 / float(qe) == math.inf:  # S's port factor -2 / qe
+                raise InvalidSpecError(f"{name} = {qe} is too small: 2 / {name} overflows")
+        if float(self.qe1) * float(self.qen) == 0.0:  # and 2 / sqrt(qe1 qen)
+            raise InvalidSpecError(f"qe1 * qen underflows to 0 for qe1 = {self.qe1}, qen = {self.qen}")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
@@ -97,10 +102,9 @@ def _eigenpairs(cm: CouplingMatrix, reflection: bool = False) -> tuple[np.ndarra
     Both are complex-symmetric, so for distinct eigenvalues inv(v) =
     diag(1 / d) v^T, and 1 / |d_k| is the condition number of lam_k
     (Wilkinson, The Algebraic Eigenvalue Problem, ch. 2). Raises
-    LinAlgError where eig fails or an entry is not finite."""
+    LinAlgError where eig fails."""
     a = pole_matrix(cm)
     if reflection:
-        with np.errstate(invalid="ignore"):  # -inf + inf where 1 / qe1 overflows
-            a[0, 0] += 2.0 / cm.qe1
+        a[0, 0] += 2.0 / cm.qe1
     lam, v = np.linalg.eig(a)
     return lam, v, (v * v).sum(axis=0)

@@ -3,26 +3,23 @@
 One kernel computes every S-parameter over an array of complex
 frequencies, port-major: S_pq over the grid is the contiguous row
 result[p, q] of its one (2, 2) + s.shape result. It fills that result in
-one streamed pass over blocks of points, each turned into S in place, and
-takes a block's port entries of inv(A) by one of two routes. Short inputs
-(the one-point s_parameters and s_matrix) solve A(s) by LU per point
-against both port unit vectors. Long sweeps take the pole-residue form:
+one streamed pass over blocks of points and takes a block's port entries
+of inv(A) by one of two routes. Long sweeps take the pole-residue form:
 one eigen solve of the complex-symmetric pole matrix, whose inverse
 eigenvector matrix is diag(1 / d) V^T, then per block a pole-major
 reciprocal and one product with the residues, O(n) per point, S21 a copy
-of S12; near an exceptional point or a repeated pole, where that form
-loses accuracy, they take LU. A sweep holds the 64 B per point of its
-result plus one block's scratch, about n * 64 KiB on either route.
-Both routes, and the optimizer's target solve (_lu_scattering), share one
-singularity guard on max|A_ij| at each point: the target solve reads it
-off the A it solves, a sweep forms it from A's diagonal constants without
-A, to the same bits. On the residue route one bound per matrix,
-sum_k |r_k| / |Re lam_k|, often proves that no point of the grid can fail
-it, and the guard is skipped. Within one numpy/BLAS stack an LU-route
-grid equals per-point s_matrix and a grid gives the same bytes on every
-call; the residue route's last bits depend on the BLAS kernel's GEMM. The
-tests check the kernel against a determinant/cofactor reference
-(tests/oracles.py) under the same guard.
+of S12. They take it only where one bound per matrix,
+sum_k |r_k| / |Re lam_k|, proves that the singularity guard passes at
+every point of the grid, so no guard runs. Every other input, the
+one-point s_parameters and s_matrix and the optimizer's targets too, is
+_lu_scattering's: one LU solve per point under the guard, whose scale,
+max|A_ij| at each point, is read off the A it solves. So a grid equals
+per-point s_matrix bit for bit within one numpy/BLAS stack unless the
+bound proved every point safe; there the last bits depend on the BLAS
+kernel's GEMM. Either way a grid gives the same bytes on every call and
+holds the 64 B per point of its result plus one block's scratch, about
+n * 64 KiB. The tests check the kernel against a determinant/cofactor
+reference (tests/oracles.py) under the same guard.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import is_whole
-from .coupling import CouplingMatrix, _eigenpairs, system_matrix
+from .coupling import CouplingMatrix, _eigenpairs, pole_matrix, system_matrix
 from .errors import InsufficientSpanError, InvalidSpecError, NoPassbandError, SingularFrequencyError
 from .prototype import FilterSpec
 
@@ -53,8 +50,8 @@ _MAG_FLOOR = 1e-300
 _PORT_ENTRIES = np.array([0, 1, -2, -1])
 
 # Inputs of more points than this per resonator, and of more than 48 points
-# in all, take the pole-residue form: one eigen solve, then O(n) per point,
-# against O(n^3) per point for LU. Below it, where every one-point call
+# in all, may take the pole-residue form: one eigen solve, then O(n) per
+# point, against O(n^3) per point for LU. Below it, where every one-point call
 # sits, LU is faster and keeps its exact results; the optimizer's targets
 # take LU at every order (_lu_scattering). Break-even measured at 30 to 60
 # points for n = 2 to 20 on a 2-core x86 VM (OpenBLAS); the floor of 48
@@ -131,42 +128,38 @@ def _scattering(cm: CouplingMatrix, s):
     """The 2x2 block [[S11, S12], [S21, S22]] at every point of s, as the
     (2, 2) + s.shape result: S_pq is the contiguous row result[p, q].
 
-    Per block of points the port entries of inv(A) are written into the
-    result and _s_block turns them into S there. Grids of more than
-    _RESIDUE_POINTS_PER_POLE points per resonator and more than 48 in all
-    take them from the pole residues, in one (n, _BLOCK_POINTS) scratch
-    array, guarded only where _no_point_can_fail cannot rule a failure
-    out. Other inputs, and matrices _residue_ports refuses, take one LU
-    solve per point under the guard, in blocks of _BLOCK_POINTS // n points,
-    so that a block's A holds as many bytes as the residue scratch.
+    Grids of more than _RESIDUE_POINTS_PER_POLE points per resonator and
+    more than 48 in all, on a matrix _residue_ports accepts, take the port
+    entries of inv(A) from the pole residues, in one (n, _BLOCK_POINTS)
+    scratch array, but only where _no_point_can_fail proves that the guard
+    passes at every point, so no guard runs. Every other input is
+    _lu_scattering's, in blocks of _BLOCK_POINTS // n points, so that a
+    block's A holds as many bytes as the residue scratch: it equals
+    per-point s_matrix bit for bit.
     """
     s = np.asarray(s, dtype=complex)
     points = s.ravel()
+    out = np.empty((2, 2) + s.shape, dtype=complex)
+    x = out.reshape(4, points.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        poles = _residue_ports(cm) if s.size > max(_RESIDUE_POINTS_PER_POLE * cm.n, 48) else None
-        factors = _port_factors(cm.qe1, cm.qen)
-        moot = poles is not None and _no_point_can_fail(cm, points, *poles) and np.isfinite(factors).all()
-        constants = None if moot else _diagonal_constants(cm)
-        out = np.empty((2, 2) + s.shape, dtype=complex)
-        x = out.reshape(4, points.size)
-        if poles is not None:
+        poles = _residue_ports(cm) if points.size > max(_RESIDUE_POINTS_PER_POLE * cm.n, 48) else None
+        if poles is not None and _no_point_can_fail(cm, points, *poles):
             lam, residues = poles
-            step = _BLOCK_POINTS
-            t = np.empty((cm.n, min(step, points.size)), dtype=complex)
-        else:
-            step = max(1, _BLOCK_POINTS // cm.n)
-        for lo in range(0, points.size, step):
-            block = points[lo : lo + step]
-            ports = x[:, lo : lo + block.size]
-            if poles is None:
-                ports[...] = _lu_columns(system_matrix(cm, block)).reshape(-1, 2 * cm.n).T.take(_PORT_ENTRIES, axis=0)
-            else:
-                scratch = t[:, : block.size]
+            factors = _port_factors(cm.qe1, cm.qen)
+            t = np.empty((cm.n, min(_BLOCK_POINTS, points.size)), dtype=complex)
+            for lo in range(0, points.size, _BLOCK_POINTS):
+                block = points[lo : lo + _BLOCK_POINTS]
+                ports, scratch = x[:, lo : lo + block.size], t[:, : block.size]
                 np.subtract(block, lam[:, None], out=scratch)
                 np.reciprocal(scratch, out=scratch)
                 np.matmul(residues, scratch, out=ports)
                 ports[2] = ports[1]  # S21 is S12, bit for bit
-            _s_block(block, ports, factors, None if moot else _system_matrix_max_abs(cm, block, constants))
+                ports *= factors
+                ports[::3] += 1.0
+        else:
+            step = max(1, _BLOCK_POINTS // cm.n)
+            for lo in range(0, points.size, step):
+                x[:, lo : lo + step] = _lu_scattering(cm, points[lo : lo + step])[1].reshape(4, -1)
     return out
 
 
@@ -174,44 +167,31 @@ def _scattering(cm: CouplingMatrix, s):
 def _port_factors(qe1: float, qen: float) -> np.ndarray:
     """F in S = I + F x, x the port entries of inv(A), as a read-only (4, 1)
     column (row 2 p + q for entry (p, q)): -2 / qe on the diagonal,
-    2 / sqrt(qe1 qen) off it. Complex, so that scaling x in place takes no
-    cast; a real factor becomes the same complex number either way. As
-    numpy floats, a factor that overflows or divides by an underflowed
-    qe1 qen is infinite, and the guard reports it. Cached, since the
-    optimizer's trials keep the qe of their start unless qe is free.
-    Callers silence the warnings."""
+    2 / sqrt(qe1 qen) off it, all finite, since CouplingMatrix refuses a qe
+    that would overflow them. Complex, so that scaling x in place takes no
+    cast; a real factor becomes the same complex number either way.
+    Cached, since the optimizer's trials keep the qe of their start unless
+    qe is free."""
     c = 2.0 / np.sqrt(qe1 * qen)
     factors = np.array([-2.0 / qe1, c, c, -2.0 / qen], dtype=complex)[:, None]
     factors.setflags(write=False)
     return factors
 
 
-def _s_block(s: np.ndarray, x: np.ndarray, factors: np.ndarray, scale) -> np.ndarray:
-    """S in place of x, the port entries of inv(A) (rows and columns first
-    and last) at the points of the 1-d s, as (4, s.size) with entry (p, q)
-    in row 2 p + q: x is scaled by factors, _port_factors(qe1, qen), and 1 is
-    added to rows 0 and 3, so no second block is allocated; x is returned.
-    The guard runs unless scale, max|A_ij| at each point, is None; its
-    cond2 test reads |x| before the scaling and its finiteness test reads
-    S after."""
-    x_abs = None if scale is None else np.abs(x)
-    x *= factors
-    x[::3] += 1.0
-    if scale is not None:
-        _guard(s, scale, x_abs, x)
-    return x
-
-
 def _lu_scattering(cm: CouplingMatrix, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cost's route, whose Jacobian reads the full solutions, at the points
-    of the 1-d s: _lu_columns' (s.size, n, 2) solutions, left as they are,
-    and S, formed by _s_block on a port-major copy of their port entries
-    and returned as (2, 2) + s.shape. A is built once; the guard's scale is
-    its largest entry at each point. Callers silence the warnings."""
+    """The LU route at the points of the 1-d s, under the guard: the
+    (s.size, n, 2) solutions of _lu_columns, left as they are for cost's
+    Jacobian, and S, formed in place on a port-major copy of their port
+    entries (rows and columns first and last, entry (p, q) in row 2 p + q)
+    and returned as (2, 2) + s.shape. The guard's scale is the largest
+    entry of the A it solves, at each point. Callers silence the warnings."""
     a = system_matrix(cm, s)
     full = _lu_columns(a)
     x = full.reshape(-1, 2 * cm.n).T.take(_PORT_ENTRIES, axis=0)
-    _s_block(s, x, _port_factors(cm.qe1, cm.qen), np.abs(a).max(axis=(1, 2)))
+    x_abs = np.abs(x)
+    x *= _port_factors(cm.qe1, cm.qen)
+    x[::3] += 1.0
+    _guard(s, np.abs(a).max(axis=(1, 2)), x_abs, x)
     return full, x.reshape((2, 2) + s.shape)
 
 
@@ -276,61 +256,38 @@ def _no_point_can_fail(cm: CouplingMatrix, s: np.ndarray, lam: np.ndarray, resid
     part of fl(s - lam_k) is fl(Re s - Re lam_k) >= -Re lam_k, rounding
     being monotone, so |fl(s - lam_k)| >= -Re lam_k and every port entry
     obeys |x_pq| <= sum_k |r_pqk| / (-Re lam_k). The guard's scale max|A_ij|
-    is at most max|s| + max|d| over the diagonal constants d, or the
-    largest coupling if that is larger. Their product, with 1e-9 of slack
-    for the rounding of the sums, at or below _COND_LIMIT means no point
-    passes the cond2 limit; it also bounds |x| and hence, for a finite
-    2 / qe, keeps every S-parameter finite. False in every other case,
-    including any NaN, which leaves the per-point guard to decide.
+    is at most max|s| + max|d| over the diagonal constants d of A - s I, or
+    the largest coupling if that is larger. Their product, with 1e-9 of
+    slack for the rounding of the sums, at or below _COND_LIMIT means no
+    point passes the cond2 limit; it also bounds |x| and hence, the port
+    factors being finite, keeps every S-parameter finite. False in every
+    other case, including any NaN.
     """
     decay = -lam.real
     if not (decay.min() > 0 and s.real.min() >= 0):
         return False
-    distinct, off = _diagonal_constants(cm)
-    scale = max(np.abs(s).max() + np.abs(distinct).max(), off)
+    a0 = np.abs(pole_matrix(cm))  # |A(0)|: |d| on the diagonal, |couplings| off it
+    # the entries after the first, in rows of n + 1, minus the last column:
+    # a view of the off-diagonal entries
+    off = a0.ravel()[1:].reshape(cm.n - 1, cm.n + 1)[:, :-1].max(initial=0.0)
+    scale = max(np.abs(s).max() + a0.diagonal().max(), off)
     reach = (np.abs(residues) / decay).sum(axis=1).max()
     return scale * reach * (1.0 + 1e-9) <= _COND_LIMIT
 
 
 def _guard(s: np.ndarray, scale: np.ndarray, x_abs: np.ndarray, values: np.ndarray) -> None:
-    """The one singularity test of every route, port-major.
+    """The one singularity test, run by _lu_scattering, port-major.
 
     s is 1-d and scale holds max|A_ij| at each of its points; x_abs holds
     |entries of inv(A)| and values the S-parameters, both of shape
     (k, s.size), one row per port entry. max|A_ij| * max|x| is a lower
     bound on cond2(A); a point is singular where it passes _COND_LIMIT or
-    where an S-parameter is not finite (2 / qe overflows for a denormal qe,
-    or A is exactly singular). The error names the first such point.
-    Callers silence the warnings.
+    where an S-parameter is not finite (A is exactly singular there). The
+    error names the first such point. Callers silence the warnings.
     """
     ok = (scale * x_abs <= _COND_LIMIT) & np.isfinite(values)
     if not ok.all():
         raise SingularFrequencyError(f"filter matrix singular at s = {s[~ok.all(axis=0)][0]}")
-
-
-def _diagonal_constants(cm: CouplingMatrix) -> tuple[np.ndarray, float]:
-    """The distinct constants d on the diagonal of A - s I, and the largest
-    |coupling| off it. A synchronously tuned filter has at most three d."""
-    diag = (-1j * cm.m.diagonal()).tolist()
-    diag[0] += 1.0 / cm.qe1
-    diag[-1] += 1.0 / cm.qen
-    # the entries after the first, in rows of n + 1, minus the last column:
-    # a view of the off-diagonal entries
-    off = np.abs(cm.m.ravel()[1:].reshape(cm.n - 1, cm.n + 1)[:, :-1]).max(initial=0.0)
-    return np.array(list(set(diag))), off
-
-
-def _system_matrix_max_abs(cm: CouplingMatrix, s: np.ndarray, constants) -> np.ndarray:
-    """max|A_ij| of A = system_matrix(cm, s) at every point of s, from
-    constants, _diagonal_constants(cm), so that a sweep's guard never forms
-    A: the larger of the largest coupling and the largest |s + d| over the
-    distinct constants d on the diagonal of A - s I.
-
-    |s + d| is formed once per distinct diagonal constant d, along a
-    leading axis, and reduced over it: a short trailing axis reduces slowly.
-    """
-    distinct, off = constants
-    return np.abs(np.add.outer(distinct, s)).max(axis=0, initial=off)
 
 
 def s_parameters(cm: CouplingMatrix, s: complex) -> tuple[complex, complex]:
@@ -383,9 +340,10 @@ def sweep(cm: CouplingMatrix, spec: FilterSpec, f_start_hz: float, f_stop_hz: fl
 
     S11, S21, S12 and S22 all come from one kernel call at s = j omega,
     omega = normalized_frequency(f). Within one numpy/BLAS stack a grid
-    gives the same bytes on every call, and a grid of at most max(4 n, 48)
-    points equals s_matrix at each point exactly. A longer grid takes the
-    pole-residue path, whose last bits depend on the BLAS kernel, and
+    gives the same bytes on every call, and it equals s_matrix at each
+    point exactly unless it has more than max(4 n, 48) points and one bound
+    proves that no point can fail the singularity guard. Such a grid takes
+    the pole-residue path, whose last bits depend on the BLAS kernel, and
     agrees with s_matrix to rounding, with S21 a copy of S12: on 100k
     points over 9-11 GHz within 1.4e-13 on Chebyshev designs up to order 15
     and 3.6e-13 up to order 20, and on 2001 points over omega -3 to 3 within

@@ -296,12 +296,25 @@ def test_criterion_11_io_round_trips_and_exit_codes(tmp_path):
     rn.write_csv(spath, single)
     assert main(["extract", "--response", str(spath), "--mode", "k"]) == 5
 
-    # exit code 6: a denormal external Q overflows the filter matrix
+    # exit code 3 again: a denormal external Q is refused when the design loads
     record = json.loads(dpath.read_text())
     record["matrix"]["qe1"] = 5e-324
+    denormal_path = tmp_path / "denormal.json"
+    denormal_path.write_text(json.dumps(record))
+    assert main([
+        "sweep", "--design", str(denormal_path),
+        "--f-start", "9", "--f-stop", "11", "--points", "11",
+        "--format", "csv", "--out", str(tmp_path / "denormal.csv"),
+    ]) == 3
+
+    # exit code 6: an uncoupled resonator tuned to f0, a grid point, makes
+    # the filter matrix exactly singular there
+    record = json.loads(dpath.read_text())
+    for i in range(4):
+        record["matrix"]["m"][1][i] = record["matrix"]["m"][i][1] = 0.0
     sick_path = tmp_path / "sick.json"
     sick_path.write_text(json.dumps(record))
-    for points in ("11", "1001"):  # the LU and the pole-residue sweep sizes
+    for points in ("11", "1001"):  # the grid holds 10 GHz either way
         assert main([
             "sweep", "--design", str(sick_path),
             "--f-start", "9", "--f-stop", "11", "--points", points,

@@ -603,17 +603,16 @@ def test_cli_import_loads_no_scipy():
     assert done.returncode == 0 and done.stdout.strip() == "[]"
 
 
-def test_optimize_with_an_overflowing_qe_exits_6_without_a_warning(table2_design, tmp_path):
-    # 1 / qe1 overflows: the start's polynomials fail as a NumericalError,
-    # not with a RuntimeWarning on stderr, and the optimizer's first cost
-    # reports the singular filter matrix
+def test_optimize_with_an_overflowing_qe_exits_3_without_a_warning(table2_design, tmp_path):
+    # 1 / qe1 overflows: loading the design refuses the qe, by name and with
+    # no RuntimeWarning on stderr, before any polynomial or cost is formed
     record = json.loads(table2_design.read_text())
     record["matrix"]["qe1"] = 1e-310
     design = tmp_path / "dq.json"
     design.write_text(json.dumps(record))
     done = run_python("-m", "resonet", "optimize", "--design", str(design), "--out", str(tmp_path / "dq2.json"))
-    assert done.returncode == 6
-    assert re.fullmatch(r"error: filter matrix singular at s = \S+\n", done.stderr)
+    assert done.returncode == 3
+    assert re.fullmatch(r"error: qe1 = 1e-310 is too small: 2 / qe1 overflows\n", done.stderr)
 
 
 # Prints whether numpy was loaded after `import resonet, resonet.cli`, the

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import resonet as rn
@@ -15,7 +15,6 @@ from resonet.errors import (
     NoPassbandError,
     SingularFrequencyError,
 )
-from resonet.response import _diagonal_constants, _system_matrix_max_abs
 
 EDGE_S11 = 0.09949943695193105  # equiripple reflection for 0.04321 dB ripple
 
@@ -120,20 +119,18 @@ def test_singular_frequency_raises(cm4):
         s_parameters_cramer(cm4, pole)
 
 
-def test_denormal_qe_raises_on_point_and_swept_routes(xband4):
-    # 2 / qe overflows to inf and meets a zero solution entry: NaN, not data;
-    # qe1 qen underflows to 0, so 2 / sqrt(qe1 qen) is inf
-    for qe1, qen in ((5e-324, 1.0), (1e-200, 1e-200)):
-        cm = rn.CouplingMatrix(m=np.array([[0.0, 1.0], [1.0, 0.0]]), qe1=qe1, qen=qen)
-        with pytest.raises(SingularFrequencyError):
-            rn.s_matrix(cm, 0.5j)
-        with pytest.raises(SingularFrequencyError):
-            rn.s_parameters(cm, 0.5j)
-        with pytest.raises(SingularFrequencyError):
-            s_parameters_cramer(cm, 0.5j)
-        for points in (11, 1001):  # the LU and the residue sizes
-            with pytest.raises(SingularFrequencyError):
-                rn.sweep(cm, xband4, 9e9, 11e9, points)
+def test_denormal_qe_raises_on_point_and_swept_routes():
+    # A qe for which 2 / qe overflows, or qe1 qen underflows to 0 (so that
+    # 2 / sqrt(qe1 qen) would), is refused when the matrix is built, naming
+    # it: no point or swept route, and no reflection term -1 / qe1 + 2 / qe1
+    # of extract_polynomials, ever sees an infinite port factor.
+    m = np.array([[0.0, 1.0], [1.0, 0.0]])
+    cases = [(5e-324, 1.0, "qe1 = 5e-324"), (1.0, 1e-308, "qen = 1e-308"), (1e-310, 0.7, "qe1 = 1e-310")]
+    for qe1, qen, named in cases + [(1e-200, 1e-200, r"qe1 \* qen underflows")]:
+        with pytest.raises(InvalidSpecError, match=named):
+            rn.CouplingMatrix(m=m, qe1=qe1, qen=qen)
+    for qe in (1e-160, 1e-150):  # still valid: qe1 qen is 1e-320 or 1e-300
+        assert np.isfinite(rn.s_matrix(rn.CouplingMatrix(m=m, qe1=qe, qen=qe), 0.5j)).all()
 
 
 @pytest.mark.parametrize("points", [3, 1001])  # the LU and the residue sizes
@@ -157,53 +154,6 @@ def test_singular_grid_point_on_a_tuned_diagonal_is_named(points, xband4):
     with pytest.raises(SingularFrequencyError) as swept:
         rn.sweep(cm, xband4, 9e9, 11e9, points)
     assert str(swept.value) == str(point.value)
-
-
-@pytest.mark.parametrize("diagonal", ["zero", "repeated", "distinct"])
-def test_guard_scale_is_max_abs_of_the_system_matrix(diagonal, random_lossless):
-    # the guard's max|A_ij|, formed without A, must be exactly A's
-    rng = np.random.default_rng(14)
-    for _ in range(30):
-        cm = random_lossless(rng, rng.integers(2, 12))  # qe1 != qen
-        m = cm.m.copy()
-        if diagonal == "zero":
-            np.fill_diagonal(m, 0.0)
-        elif diagonal == "repeated":
-            np.fill_diagonal(m, rng.choice(rng.normal(size=2), size=cm.n))
-        cm = rn.CouplingMatrix(m=m, qe1=cm.qe1, qen=cm.qen)
-        for shape in ((), (6,), (200,)):
-            s = np.asarray(rng.normal(0, 3, shape) + 1j * rng.normal(0, 3, shape))
-            expected = np.abs(rn.system_matrix(cm, s)).max(axis=(-2, -1))
-            assert np.array_equal(_system_matrix_max_abs(cm, s, _diagonal_constants(cm)), expected)
-
-
-def test_target_guard_scale_read_off_a_is_the_sweeps_bit_for_bit(monkeypatch, random_lossless):
-    # cost's route reads max|A_ij| off the A it solves; the sweep forms it
-    # from the diagonal constants without A. Both must give the same bits.
-    scales = []
-    s_block = response._s_block
-
-    def spy(s, x, factors, scale):
-        scales.append(scale)
-        return s_block(s, x, factors, scale)
-
-    monkeypatch.setattr(response, "_s_block", spy)
-    rng = np.random.default_rng(25)
-    block = 1j * rn.normalized_frequency(np.linspace(9e9, 11e9, 101), rn.bundled_filter_spec("xband-4pole"))
-    assert block.imag.min() < 0 < block.imag.max()
-    for order in range(2, 21):
-        cm = random_lossless(rng, order)  # a nonzero diagonal, qe1 != qen
-        assert np.all(cm.m.diagonal() != 0) and cm.qe1 != cm.qen
-        spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
-        for s in (rn.CostConfig.from_spec(spec)._points, block):
-            scales.clear()
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                try:
-                    response._lu_scattering(cm, s)
-                except SingularFrequencyError:
-                    pass  # the guard ran on the scale
-            assert len(scales) == 1
-            assert scales[0].tobytes() == _system_matrix_max_abs(cm, s, _diagonal_constants(cm)).tobytes()
 
 
 def test_mapping_fixed_point_and_monotonicity(xband4):
@@ -360,6 +310,7 @@ def lossless_sweeps(draw):
 
 @settings(deadline=None)
 @given(lossless_sweeps())
+@example((rn.CouplingMatrix(m=np.zeros((3, 3)), qe1=1.0, qen=1.0), 49))  # residue ports, LU route
 def test_sweep_agrees_with_lu_and_cramer(case):
     cm, points = case
     spec = rn.FilterSpec(order=cm.n, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
@@ -372,7 +323,11 @@ def test_sweep_agrees_with_lu_and_cramer(case):
         assume(False)
     resp = rn.sweep(cm, spec, f_lo, f_hi, points)
     got = swept_s_matrices(resp)
-    assert response._residue_ports(cm) is None or resp.s12.tobytes() == resp.s21.tobytes()
+    poles = response._residue_ports(cm)
+    if poles is not None and response._no_point_can_fail(cm, 1j * omega, *poles):  # the residue route
+        assert resp.s12.tobytes() == resp.s21.tobytes()
+    else:
+        assert np.array_equal(got, ref)
     # relative to max |S_pq|, which is >= 1/sqrt(2) for a unitary S
     scale = np.abs(ref).max(axis=(1, 2))
     assert np.all(np.abs(got - ref).max(axis=(1, 2)) <= 1e-9 * scale)
@@ -437,16 +392,19 @@ def test_sweep_is_the_point_major_residue_product_across_block_boundaries(xband8
 
 @pytest.mark.parametrize("place", ["a later block", "the last block"])
 def test_blocked_guard_decides_as_one_block_does(place, monkeypatch, xband4):
-    # the singular grid point of near_singular_matrices, index points // 3
-    # of linspace(9e9, 11e9, points), lies past the first block; or it is
-    # the exact last point of a grid ending there, in a short last block
-    block = response._BLOCK_POINTS
+    # on the LU route, in blocks of _BLOCK_POINTS // 3 points at n = 3, the
+    # singular grid point of near_singular_matrices, index points // 3 of
+    # linspace(9e9, 11e9, points), lies past the first block; or it is the
+    # exact last point of a grid ending there, in a short last block
+    step = response._BLOCK_POINTS // 3
     if place == "a later block":
-        points, f_stop = 3 * block + 30, 11e9
-        assert block <= points // 3 < 2 * block
+        points, f_stop = 3 * response._BLOCK_POINTS + 30, 11e9
+        assert step <= points // 3
     else:
-        points = 2 * block + 3
+        points = 2 * response._BLOCK_POINTS + 3
         f_stop = np.linspace(9e9, 11e9, points)[points // 3]
+        assert 0 < points % step
+    monkeypatch.setattr(response, "_residue_ports", lambda cm: None)
 
     def outcome(cm):
         try:
@@ -458,15 +416,11 @@ def test_blocked_guard_decides_as_one_block_does(place, monkeypatch, xband4):
     outcomes = []
     for cm in near_singular_matrices(xband4, points):
         got = outcome(cm)
-        with monkeypatch.context() as one_block:  # the guard at every point, in one block
-            one_block.setattr(response, "_BLOCK_POINTS", points)
-            one_block.setattr(response, "_no_point_can_fail", lambda *args: False)
+        with monkeypatch.context() as one_block:
+            one_block.setattr(response, "_BLOCK_POINTS", 3 * points)
             expected = outcome(cm)
         assert got[0] == expected[0]
-        if got[0] == "ok":
-            assert np.abs(got[1] - expected[1]).max() <= LAYOUT_TOL
-        else:
-            assert got[1] == expected[1]
+        assert np.array_equal(got[1], expected[1]) if got[0] == "ok" else got[1] == expected[1]
         outcomes.append(got)
     assert {"ok", "SingularFrequencyError"} <= {kind for kind, _ in outcomes}
     # the tuned matrix is exactly singular at the chosen point, and the error names it
@@ -561,16 +515,17 @@ def near_singular_matrices(spec, points):
     yield rn.CouplingMatrix(m=tuned, qe1=0.7, qen=1.3)
     # a weakly loaded first resonator tuned to a grid point and a detuned
     # middle one: max|A| * |x11| there is about 1e8 * detuning. At 9995.5
-    # the bound (1e12 - 3e7) proves the guard moot; at 9997 the guard passes
-    # (1e12 - 2e8) but the bound (1e12 + 1e8) cannot show it; at 1e4 the
-    # guard fails.
+    # the bound (1e12 - 3e7) proves that the guard passes, so the residue
+    # route runs; at 9997 the guard passes (1e12 - 2e8) but the bound
+    # (1e12 + 1e8) cannot show it, so LU runs; at 1e4 the guard fails.
     for detuning in (1e2, 9995.5, 9997.0, 1e4, 1e6):
         m = np.array([[w, 1e-6, 0.0], [1e-6, detuning, 0.8], [0.0, 0.8, 0.0]])
         yield rn.CouplingMatrix(m=m, qe1=1e8, qen=1.3)
 
 
 def test_bound_skips_the_guard_only_where_the_guard_passes(monkeypatch, xband4, random_lossless):
-    # every outcome, error message and S bit, equals the per-point guard's
+    # the residue route runs only where LU's guard passes; every other grid
+    # is LU's, outcome, error message and S bit alike
     rng = np.random.default_rng(16)
     points = 1001
     cases = list(near_singular_matrices(xband4, points))
@@ -586,19 +541,37 @@ def test_bound_skips_the_guard_only_where_the_guard_passes(monkeypatch, xband4, 
     for cm in cases:
         monkeypatch.setattr(response, "_no_point_can_fail", spy)
         got = sweep_outcome(cm, xband4, points)
-        monkeypatch.setattr(response, "_no_point_can_fail", lambda *args: False)
-        expected = sweep_outcome(cm, xband4, points)
-        assert got[0] == expected[0]
-        if got[0] == "ok":
-            assert np.array_equal(got[1], expected[1])
+        monkeypatch.setattr(response, "_residue_ports", lambda cm: None)
+        lu = sweep_outcome(cm, xband4, points)
+        monkeypatch.undo()
+        if proofs[-1]:
+            # LU's guard passes at every point; the residue S may still fail
+            # the passivity check (detuning 9995.5, ROADMAP item 21)
+            assert lu[0] == "ok"
         else:
-            assert got[1] == expected[1]
+            assert got[0] == lu[0]
+            assert np.array_equal(got[1], lu[1]) if got[0] == "ok" else got[1] == lu[1]
         outcomes.append(got[0])
-    # the grid is long enough for the residue path on every case, and both
+    # the grid is long enough for the residue ports on every case, and both
     # sides of the bound and of the guard occur
     assert len(proofs) == len(cases)
     assert True in proofs and False in proofs
     assert "SingularFrequencyError" in outcomes and outcomes.count("ok") > len(cases) // 2
+
+
+def test_a_grid_the_bound_rejects_is_s_matrix_at_each_point(xband4):
+    # the guard passes at every point, but the bound cannot show it, so the
+    # sweep takes LU; residues, guarded or not, would put S off LU by more
+    # than the passivity tolerance here (max |S| = 1 + 1.2e-8)
+    points = 1001
+    w = rn.normalized_frequency(np.linspace(9e9, 11e9, points), xband4)[333]
+    m = np.array([[w, 1e-6, 0.0], [1e-6, 9997.0, 0.8], [0.0, 0.8, 0.0]])
+    cm = rn.CouplingMatrix(m=m, qe1=1e8, qen=1.3)
+    resp = rn.sweep(cm, xband4, 9e9, 11e9, points)
+    poles = response._residue_ports(cm)
+    s = 1j * rn.normalized_frequency(resp.grid, xband4)
+    assert poles is not None and not response._no_point_can_fail(cm, s, *poles)
+    assert np.array_equal(swept_s_matrices(resp), point_s_matrices(cm, resp, xband4))
 
 
 def test_bound_needs_open_left_half_plane_poles_and_a_right_half_plane_grid(cm4):
@@ -613,23 +586,15 @@ def test_bound_needs_open_left_half_plane_poles_and_a_right_half_plane_grid(cm4)
     assert not response._no_point_can_fail(cm4, s - 1e-300, np.array([-1.0, -0.5 + 0.3j]), residues)
 
 
-def test_overflowing_port_factor_runs_the_guard_even_when_bounded(monkeypatch, xband4):
-    # 2 / qe1 overflows although 1 / qe1 does not: S is not finite anywhere
-    cm = rn.CouplingMatrix(m=np.array([[0.0, 1.0], [1.0, 0.0]]), qe1=1e-308, qen=1.0)
-    monkeypatch.setattr(response, "_no_point_can_fail", lambda *args: True)
-    with pytest.raises(SingularFrequencyError):
-        rn.sweep(cm, xband4, 9e9, 11e9, 1001)
-
-
 @pytest.mark.parametrize("name", rn.bundled_design_names())
 def test_bound_skips_the_guard_on_the_bundled_designs(name, monkeypatch):
-    def guard(*args):
-        raise AssertionError("the per-point guard ran")
+    def lu(*args):
+        raise AssertionError("the guarded LU route ran")
 
     spec = rn.bundled_filter_spec(name)
     cm = rn.synthesize_design(spec).matrix
     lo, hi = rn.band_edge_frequencies(spec)
-    monkeypatch.setattr(response, "_guard", guard)
+    monkeypatch.setattr(response, "_lu_scattering", lu)
     resp = rn.sweep(cm, spec, lo - spec.bandwidth_hz, hi + spec.bandwidth_hz, 100_000)
     assert len(resp) == 100_000
 
