@@ -586,6 +586,20 @@ def test_bound_needs_open_left_half_plane_poles_and_a_right_half_plane_grid(cm4)
     assert not response._no_point_can_fail(cm4, s - 1e-300, np.array([-1.0, -0.5 + 0.3j]), residues)
 
 
+def test_overflowing_port_factor_runs_the_guard_even_when_bounded(monkeypatch, xband4):
+    # 2 / qe1 overflows although 1 / qe1 does not: even with the bound forced
+    # to pass, the matrix is refused before any route forms the port factor.
+    # At the smallest qe1 that builds the factor is finite, the bound declines
+    # and the guard names the singular point.
+    m = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with monkeypatch.context() as patch:
+        patch.setattr(response, "_no_point_can_fail", lambda *args: True)
+        with pytest.raises(InvalidSpecError, match="qe1 = 1e-308"):
+            rn.sweep(rn.CouplingMatrix(m=m, qe1=1e-308, qen=1.0), xband4, 9e9, 11e9, 1001)
+    with pytest.raises(SingularFrequencyError):
+        rn.sweep(rn.CouplingMatrix(m=m, qe1=1.2e-308, qen=1.0), xband4, 9e9, 11e9, 1001)
+
+
 @pytest.mark.parametrize("name", rn.bundled_design_names())
 def test_bound_skips_the_guard_on_the_bundled_designs(name, monkeypatch):
     def lu(*args):
