@@ -34,23 +34,28 @@ class CouplingMatrix:
         m = np.array(self.m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise InvalidSpecError(f"coupling matrix must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise InvalidSpecError("coupling matrix entries must be finite")
+        _refuse(m, self.qe1, self.qen)
         if not (m == m.T).all():  # no NaN reaches this test
             raise InvalidSpecError("coupling matrix must be symmetric")
-        if not (0 < self.qe1 < math.inf and 0 < self.qen < math.inf):
-            raise InvalidSpecError("external quality factors must be positive and finite")
-        for name, qe in (("qe1", self.qe1), ("qen", self.qen)):
-            if 2.0 / float(qe) == math.inf:  # S's port factor -2 / qe
-                raise InvalidSpecError(f"{name} = {qe} is too small: 2 / {name} overflows")
-        if float(self.qe1) * float(self.qen) == 0.0:  # and 2 / sqrt(qe1 qen)
-            raise InvalidSpecError(f"qe1 * qen underflows to 0 for qe1 = {self.qe1}, qen = {self.qen}")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
     @property
     def n(self) -> int:
         return self.m.shape[0]
+
+
+def _refuse(m: np.ndarray, qe1: float, qen: float) -> None:
+    """Refuse what CouplingMatrix refuses, asymmetry aside; optimizer trials too."""
+    if not np.isfinite(m).all():
+        raise InvalidSpecError("coupling matrix entries must be finite")
+    if not (0 < qe1 < math.inf and 0 < qen < math.inf):
+        raise InvalidSpecError("external quality factors must be positive and finite")
+    for name, qe in (("qe1", qe1), ("qen", qen)):
+        if 2.0 / float(qe) == math.inf:  # S's port factor -2 / qe
+            raise InvalidSpecError(f"{name} = {qe} is too small: 2 / {name} overflows")
+    if float(qe1) * float(qen) == 0.0:  # and 2 / sqrt(qe1 qen)
+        raise InvalidSpecError(f"qe1 * qen underflows to 0 for qe1 = {qe1}, qen = {qen}")
 
 
 def from_couplings(targets: CouplingTargets, fbw: float) -> CouplingMatrix:
@@ -77,12 +82,16 @@ def system_matrix(cm: CouplingMatrix, s) -> np.ndarray:
     s.shape + (n, n), one matrix per point, filled in place.
     """
     s = np.asarray(s)
-    a = np.empty(s.shape + (cm.n, cm.n), dtype=complex)
-    np.multiply(-1j, cm.m, out=a)
-    diag = a.reshape(s.shape + (-1,))[..., :: cm.n + 1]  # a view of each diagonal
+    return _fill(np.empty(s.shape + (cm.n, cm.n), dtype=complex), cm.m, s, cm.qe1, cm.qen)
+
+
+def _fill(a: np.ndarray, m: np.ndarray, s: np.ndarray, qe1: float, qen: float) -> np.ndarray:
+    """system_matrix written into a, of shape s.shape + m.shape, in place."""
+    np.multiply(-1j, m, out=a)
+    diag = a.reshape(s.shape + (-1,))[..., :: m.shape[0] + 1]  # a view of each diagonal
     diag += s[..., None]
-    diag[..., 0] += 1.0 / cm.qe1
-    diag[..., -1] += 1.0 / cm.qen
+    diag[..., 0] += 1.0 / qe1
+    diag[..., -1] += 1.0 / qen
     return a
 
 

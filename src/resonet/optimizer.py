@@ -5,26 +5,27 @@ and the band edges to the equiripple reflection level; it is zero exactly
 when the matrix reproduces the target response. The default refinement is
 Levenberg-Marquardt least squares on the analytic Jacobian of the
 reflection (Amari, IEEE T-MTT 48(9), 2000), built from the LU solve per
-target point that gave the cost. Every evaluation, the start and each
-trial of every method, is one call of cost: the system matrix A at all
-target points (the zeros and both band edges) as one LU block, since the
-targets are few, one batched solve of it, and the singularity guard,
-which reads its scale off that A. Cyclic coordinate descent, the bench
-practice of tuning one dimension at a time, remains as the "sweep" method
-and as the fallback where the least-squares step stalls. Both accept only
-iterates that lower the cost.
+target point that gave the cost. cost evaluates a run's start, one
+_Evaluator per run every trial of every method, by the same code: A at all
+target points (the zeros and both band edges) written into one buffer, its
+batched LU solve, and the guard, which reads its scale off that A. Cyclic
+coordinate descent, the bench practice of tuning one dimension at a time,
+remains as the "sweep" method and as the fallback where the least-squares
+step stalls. Both accept only iterates that lower the cost.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ._util import is_whole
-from .coupling import CouplingMatrix
+from .coupling import CouplingMatrix, _fill, _refuse
 from .errors import InvalidSpecError, NumericalError, SingularFrequencyError
 from .prototype import FilterSpec, _realized_ripple_db
 from .response import _lu_scattering
@@ -74,8 +75,33 @@ class CostConfig:
 
 
 class _Solved(float):
-    """A cost that keeps the LU solve, one per target point, it came from,
-    for the Jacobian: the matrix cm, and x = inv(A) e1 and S11 there."""
+    """A cost that keeps its point p, qe1, qen and LU solve: x = inv(A) e1, S11."""
+
+
+class _Evaluator:
+    """The cost at p = [*m.ravel(), qe1, qen], A at the targets written into one
+    buffer per run: refuses what cost and CouplingMatrix refuse, m symmetric
+    by construction. Callers silence the warnings."""
+
+    def __init__(self, n: int, config: CostConfig):
+        if config._points is None:
+            raise NumericalError(f"non-finite target frequency in {np.array(config.zero_omegas)}")
+        self.config, self.points, self.a = config, config._points, np.empty((config._points.size, n, n), dtype=complex)
+
+    def __call__(self, p: np.ndarray) -> _Solved:
+        m, qe1, qen = p[:-2].reshape(self.a.shape[1:]), float(p[-2]), float(p[-1])
+        _refuse(m, qe1, qen)
+        full, sm = _lu_scattering(_fill(self.a, m, self.points, qe1, qen), self.points, qe1, qen)
+        # Term by term and with the scalar abs: np.sum and np.abs round otherwise.
+        total = 0.0
+        *zeros, lower, upper = sm[0, 0].tolist()
+        for value in zeros:
+            total += abs(value) ** 2
+        for value in (lower, upper):
+            total += (abs(value) - self.config.edge_s11_mag) ** 2
+        solved = _Solved(total)
+        solved.p, solved.qe1, solved.qen, solved.x, solved.s11 = p.copy(), qe1, qen, full[:, :, 0], sm[0, 0]
+        return solved
 
 
 def cost(cm: CouplingMatrix, config: CostConfig) -> float:
@@ -84,48 +110,18 @@ def cost(cm: CouplingMatrix, config: CostConfig) -> float:
     Sum of |S11|^2 at every target reflection zero plus the squared error
     of |S11| against the equiripple level at both band edges. Non-negative
     and zero only for an exact equiripple response; it keeps its LU solve.
-
-    Raises NumericalError when a zero_omegas entry is not finite, so that
-    config formed no target points.
+    The one-shot use of the evaluator of optimize's trials, so bit for bit
+    a trial's cost. Raises NumericalError for a non-finite zero_omegas entry.
     """
-    if config._points is None:
-        raise NumericalError(f"non-finite target frequency in {np.array(config.zero_omegas)}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        full, sm = _lu_scattering(cm, config._points)
-    # Term by term and with the scalar abs: np.sum and np.abs round otherwise.
-    total = 0.0
-    *zeros, lower, upper = sm[0, 0].tolist()
-    for value in zeros:
-        total += abs(value) ** 2
-    for value in (lower, upper):
-        total += (abs(value) - config.edge_s11_mag) ** 2
-    solved = _Solved(total)
-    solved.cm, solved.x, solved.s11 = cm, full[:, :, 0], sm[0, 0]
-    return solved
-
-
-def _gather(orbits, n: int):
-    """_residuals' indices, once per least-squares run: the (i, j) of the free
-    m entries and the free qe (0, 1), as ordered in p; per orbit length, its
-    orbits' places in that order; and the permutation back to orbit order.
-    Built in plain Python: n is small."""
-    lists = [orbit.tolist() for orbit in orbits]
-    free = sorted(q for orbit in lists for q in orbit)
-    column = {q: k for k, q in enumerate(free)}
-    sizes = sorted({len(orbit) for orbit in lists})
-    members = [[k for k, orbit in enumerate(lists) if len(orbit) == size] for size in sizes]
-    groups = [(np.array([column[q] for k in ks for q in lists[k]]), size) for ks, size in zip(members, sizes)]
-    grouped = sum(members, [])
-    order = sorted(range(len(grouped)), key=grouped.__getitem__)
-    rows, cols = np.array([divmod(q, n) for q in free if q < n * n], dtype=np.intp).reshape(-1, 2).T
-    return (rows, cols), [q - n * n for q in free if q >= n * n], groups, np.array(order)
+        return _Evaluator(cm.n, config)(_vector(cm))
 
 
 def _residuals(solved: _Solved, gather, config: CostConfig) -> tuple[np.ndarray, np.ndarray]:
     """The residual r = [Re S11(j w_z), Im S11(j w_z), |S11(+-j)| - level],
     whose sum of squares is the cost, and its Jacobian over the orbit
     values, from the LU solve that the cost `solved` keeps, at the free
-    positions of _gather only; an entry that overflows is left inf or NaN.
+    positions of _plan only; callers silence an entry's overflow to inf or NaN.
 
     A is complex-symmetric, so with x = inv(A) e1 the derivative of
     S11 = 1 - 2 x_1 / qe1 along one entry m_ij is -(2j / qe1) x_i x_j;
@@ -133,26 +129,25 @@ def _residuals(solved: _Solved, gather, config: CostConfig) -> tuple[np.ndarray,
     the port term. An orbit's column sums its positions in p as one .sum per
     orbit does, so mirrored entries share one derivative and a symmetric step.
     """
-    cm, x, s11 = solved.cm, solved.x, solved.s11
+    qe1, qen, x, s11 = solved.qe1, solved.qen, solved.x, solved.s11
     (rows, cols), qe, groups, order = gather
     z = s11.size - 2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = np.empty((s11.size, rows.size + len(qe)), dtype=complex)
-        np.multiply((-2j / cm.qe1) * x.take(rows, axis=1), x.take(cols, axis=1), out=d[:, : rows.size])
-        if qe:
-            dqe = [2.0 * x[:, 0] / cm.qe1**2 * (1.0 - x[:, 0] / cm.qe1), -2.0 / cm.qe1 * x[:, -1] ** 2 / cm.qen**2]
-            d[:, rows.size :] = np.stack(dqe, axis=1)[:, qe]
-        edges = s11[z:]
-        mag = np.abs(edges)
-        r = np.empty(2 * z + 2)
-        r[:z], r[z : 2 * z] = s11[:z].real, s11[:z].imag
-        np.subtract(mag, config.edge_s11_mag, out=r[2 * z :])
-        jac = np.empty((r.size, d.shape[1]))
-        jac[:z], jac[z : 2 * z] = d[:z].real, d[:z].imag
-        # d|S11| = Re(conj(S11) dS11) / |S11|, taken as 0 where |S11| = 0
-        np.divide((edges.conj()[:, None] * d[z:]).real, (mag + (mag == 0))[:, None], out=jac[2 * z :])
-        sums = [jac.take(index, axis=1).reshape(r.size, -1, length).sum(axis=-1) for index, length in groups]
-        return r, np.concatenate(sums, axis=1).take(order, axis=1)  # C order: the step's column sums follow it
+    d = np.empty((s11.size, rows.size + len(qe)), dtype=complex)
+    np.multiply((-2j / qe1) * x.take(rows, axis=1), x.take(cols, axis=1), out=d[:, : rows.size])
+    if qe:
+        dqe = [2.0 * x[:, 0] / qe1**2 * (1.0 - x[:, 0] / qe1), -2.0 / qe1 * x[:, -1] ** 2 / qen**2]
+        d[:, rows.size :] = np.stack(dqe, axis=1)[:, qe]
+    edges = s11[z:]
+    mag = np.abs(edges)
+    r = np.empty(2 * z + 2)
+    r[:z], r[z : 2 * z] = s11[:z].real, s11[:z].imag
+    np.subtract(mag, config.edge_s11_mag, out=r[2 * z :])
+    jac = np.empty((r.size, d.shape[1]))
+    jac[:z], jac[z : 2 * z] = d[:z].real, d[:z].imag
+    # d|S11| = Re(conj(S11) dS11) / |S11|, taken as 0 where |S11| = 0
+    np.divide((edges.conj()[:, None] * d[z:]).real, (mag + (mag == 0))[:, None], out=jac[2 * z :])
+    sums = [jac.take(index, axis=1).reshape(r.size, -1, length).sum(axis=-1) for index, length in groups]
+    return r, np.concatenate(sums, axis=1).take(order, axis=1)  # C order: the step's column sums follow it
 
 
 def ladder_free_parameters(order: int, include_qe: bool = False) -> tuple[ParamKey, ...]:
@@ -247,37 +242,51 @@ def perturbed(problem: OptimizationProblem, rng: np.random.Generator, fraction: 
     return replace(problem, initial=_matrix(p, n))
 
 
-def _orbits(positions: list[list[int]], p: np.ndarray, n: int) -> list[np.ndarray]:
-    # For a palindromic problem, mirrored parameters move as one coordinate
-    # so symmetry survives every intermediate iterate, not just the limit.
-    # The mirror maps m[i, j] to m[n-1-j, n-1-i] and qe1 to qen.
+_Plan = namedtuple("_Plan", "orbits heads flat owner gather")
+
+
+def _plan(orbits: list[list[int]], n: int) -> _Plan:
+    """One coordinate per orbit (positions in p), read-only: the orbits, their
+    first positions, every position with its orbit, and _residuals' indices:
+    free (i, j) and qe (0, 1) as in p, orbit places per length, and back."""
+    free = sorted(q for orbit in orbits for q in orbit)
+    column = {q: k for k, q in enumerate(free)}
+    sizes = sorted({len(orbit) for orbit in orbits})
+    members = [[k for k, orbit in enumerate(orbits) if len(orbit) == size] for size in sizes]
+    groups = [np.array([column[q] for k in ks for q in orbits[k]]) for ks in members]
+    grouped = sum(members, [])
+    order = np.array(sorted(range(len(grouped)), key=grouped.__getitem__))  # np.argsort: +0.3 MB RSS of sort code
+    rows, cols = np.array([divmod(q, n) for q in free if q < n * n], dtype=np.intp).reshape(-1, 2).T
+    arrays = tuple(np.array(orbit) for orbit in orbits)
+    heads, flat = np.array([orbit[0] for orbit in orbits]), np.concatenate(arrays)
+    owner = np.repeat(np.arange(len(orbits)), [len(orbit) for orbit in orbits])
+    for array in (*arrays, heads, flat, owner, rows, cols, *groups, order):
+        array.setflags(write=False)
+    gather = ((rows, cols), tuple(q - n * n for q in free if q >= n * n), tuple(zip(groups, sizes)), order)
+    return _Plan(arrays, heads, flat, owner, gather)
+
+
+@functools.lru_cache(maxsize=64)
+def _plans(free_parameters: tuple[ParamKey, ...], n: int) -> tuple[_Plan, _Plan | None]:
+    """Cached plans of a normalized free set: one coordinate per key, and for a
+    palindromic start one per mirror orbit (m[i, j] with m[n-1-j, n-1-i], qe1
+    with qen), or None unless the set is mirror-closed and an orbit joins keys."""
+
     def mirror(q: int) -> int:
         i, j = divmod(q, n)
         return 2 * n * n + 1 - q if i == n else (n - 1 - j) * n + n - 1 - i
 
+    positions = [_positions(key, n) for key in free_parameters]
     free = {q for pos in positions for q in pos}
-    m = p[:-2].reshape(n, n)
-    if (
-        not all(mirror(q) in free for q in free)
-        or np.abs(m - m[::-1, ::-1].T).max() > _PALINDROME_RTOL * max(np.abs(m).max(), 1e-30)
-        or abs(p[-1] - p[-2]) > _PALINDROME_RTOL * max(p[-2], p[-1])
-    ):
-        return [np.array(pos) for pos in positions]
-    orbits: list[np.ndarray] = []
+    orbits: list[list[int]] = []
     taken: set[int] = set()
     for pos in positions:
         if pos[0] not in taken:
             orbit = pos + [mirror(q) for q in pos if mirror(q) not in pos]
             taken.update(orbit)
-            orbits.append(np.array(orbit))
-    return orbits
-
-
-def _checked_cost(p: np.ndarray, n: int, config: CostConfig) -> _Solved:
-    value = cost(_matrix(p, n), config)
-    if math.isnan(value):
-        raise NumericalError("cost evaluated to NaN")
-    return value
+            orbits.append(orbit)
+    closed = all(mirror(q) in free for q in free) and len(orbits) < len(positions)
+    return _plan(positions, n), _plan(orbits, n) if closed else None
 
 
 def optimize(
@@ -342,69 +351,75 @@ def optimize(
 
     n = problem.initial.n
     p = _vector(problem.initial)
-    positions = [_positions(key, n) for key in problem.free_parameters]
-    orbits = _orbits(positions, p, n)
-    current = _checked_cost(p, n, problem.cost_config)
+    keyed, plan = _plans(problem.free_parameters, n)
+    m = p[:-2].reshape(n, n)  # mirror orbits only from a palindromic start
+    skewed = np.abs(m - m[::-1, ::-1].T).max() > _PALINDROME_RTOL * max(np.abs(m).max(), 1e-30)
+    if plan is None or skewed or abs(p[-1] - p[-2]) > _PALINDROME_RTOL * max(p[-2], p[-1]):
+        plan = keyed
+    current = cost(problem.initial, problem.cost_config)
+    evaluate = _Evaluator(n, problem.cost_config)
+    caller = np.geterr()  # on_iteration runs in it, not in the run's
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if method == "nelder-mead":
+            return _optimize_nelder_mead(p, n, plan, evaluate, current, max_iter, tol, step_floor)
 
-    if method == "nelder-mead":
-        return _optimize_nelder_mead(problem, p, orbits, current, max_iter, tol, step_floor)
+        iterations = 0
+        converged = current <= tol
+        if method == "gradient" and not converged:
+            q = p.copy()
+            budget = min(max_iter, _GRADIENT_STEPS)
+            reached, history = _levenberg_marquardt(q, plan, current, evaluate, budget, tol, step_floor)
+            # A run still descending at the step budget has, on the measured
+            # problems, left for a valley away from the solution: drop it.
+            if not (len(history) == _GRADIENT_STEPS < max_iter and reached > tol):
+                p, current, iterations, converged = q, reached, len(history), reached <= tol
+                plan = keyed  # any sweep goes on per key
+                if on_iteration is not None:
+                    with np.errstate(**caller):
+                        for i, (value, step) in enumerate(history, 1):
+                            on_iteration(i, value, step)
 
-    iterations = 0
-    converged = current <= tol
-    if method == "gradient" and not converged:
-        q = p.copy()
-        budget = min(max_iter, _GRADIENT_STEPS)
-        reached, history = _levenberg_marquardt(q, n, orbits, current, problem.cost_config, budget, tol, step_floor)
-        # A run still descending at the step budget has, on the measured
-        # problems, left for a valley away from the solution: drop it.
-        if not (len(history) == _GRADIENT_STEPS < max_iter and reached > tol):
-            p, current, iterations, converged = q, reached, len(history), reached <= tol
-            if len(orbits) < len(positions):  # grouped: any sweep goes on per key
-                orbits = [np.array(pos) for pos in positions]
+        orbits, steps = plan.orbits, None
+        while not converged and iterations < max_iter:
+            steps = steps or [_INITIAL_STEP * abs(p[orbit[0]]) or 0.01 for orbit in orbits]  # first sweep, new orbits
+            iterations += 1
+            improved = False
+            for oi, orbit in enumerate(orbits):
+                old = p[orbit[0]]
+                for sign in (1.0, -1.0):
+                    p[orbit] = old + sign * steps[oi]
+                    trial = evaluate(p)
+                    if trial < current:
+                        current = trial
+                        improved = True
+                        break
+                    p[orbit] = old
             if on_iteration is not None:
-                for i, (value, step) in enumerate(history, 1):
-                    on_iteration(i, value, step)
-
-    steps = [_INITIAL_STEP * abs(p[orbit[0]]) or 0.01 for orbit in orbits]
-    while not converged and iterations < max_iter:
-        iterations += 1
-        improved = False
-        for oi, orbit in enumerate(orbits):
-            old = p[orbit[0]]
-            for sign in (1.0, -1.0):
-                p[orbit] = old + sign * steps[oi]
-                trial = _checked_cost(p, n, problem.cost_config)
-                if trial < current:
-                    current = trial
-                    improved = True
-                    break
-                p[orbit] = old
-        if on_iteration is not None:
-            on_iteration(iterations, float(current), max(steps))
-        if current <= tol:
-            converged = True
-            break
-        if not improved:
-            steps = [st / 2.0 for st in steps]
-            if all(st < step_floor * max(1.0, abs(p[orbit[0]])) for st, orbit in zip(steps, orbits)):
-                if len(orbits) == len(positions):
-                    converged = True
-                    break
-                # The grouped descent stalled inside the mirror-symmetric
-                # subspace, which can be a saddle of the full space.
-                orbits = [np.array(pos) for pos in positions]
-                steps = [_INITIAL_STEP * abs(p[orbit[0]]) or 0.01 for orbit in orbits]
+                with np.errstate(**caller):
+                    on_iteration(iterations, float(current), max(steps))
+            if current <= tol:
+                converged = True
+                break
+            if not improved:
+                steps = [st / 2.0 for st in steps]
+                if all(st < step_floor * max(1.0, abs(p[orbit[0]])) for st, orbit in zip(steps, orbits)):
+                    if orbits is keyed.orbits:
+                        converged = True
+                        break
+                    # The grouped descent stalled inside the mirror-symmetric
+                    # subspace, which can be a saddle of the full space.
+                    orbits, steps = keyed.orbits, None
 
     return OptimizationResult(
-        final=current.cm,  # the matrix of the last accepted cost, which p holds
+        final=_matrix(current.p, n),  # the point of the last accepted cost
         final_cost=float(current),
         iterations=iterations,
         converged=converged,
     )
 
 
-def _levenberg_marquardt(p, n, orbits, current, config, max_steps, tol, step_floor):
-    """Damped Gauss-Newton steps on the orbit values, in place on p, each
+def _levenberg_marquardt(p, plan, current, evaluate, max_steps, tol, step_floor):
+    """Damped Gauss-Newton steps on plan's orbit values, in place on p, each
     from the Jacobian that its point's cost (start or accepted trial) keeps.
 
     Returns the cost and the (cost, max_step) of every accepted step, once
@@ -413,14 +428,10 @@ def _levenberg_marquardt(p, n, orbits, current, config, max_steps, tol, step_flo
     finite. Every position of an orbit takes the orbit's new value, so a
     palindromic p stays exactly symmetric.
     """
-    heads = np.array([orbit[0] for orbit in orbits])
-    gather = _gather(orbits, n)
-    flat = np.concatenate(orbits)  # each position, and the orbit it takes its value from
-    owner = np.repeat(np.arange(len(orbits)), [len(orbit) for orbit in orbits])
     damping = 1e-3
     history: list[tuple[float, float]] = []
     while current > tol and len(history) < max_steps:
-        r, jac = _residuals(current, gather, config)
+        r, jac = _residuals(current, plan.gather, evaluate.config)
         if not np.isfinite(jac).all():
             return current, history
         # Marquardt scaling: damp each coordinate by its own curvature.
@@ -428,17 +439,17 @@ def _levenberg_marquardt(p, n, orbits, current, config, max_steps, tol, step_flo
         scale[scale == 0.0] = 1.0
         u, sv, vt = np.linalg.svd(jac / scale, full_matrices=False)
         ur = u.T @ r
-        start = p[heads]
+        start = p[plan.heads]
         floor = step_floor * np.maximum(1.0, np.abs(start))
         while True:
             step = -(vt.T @ (sv * ur / (sv * sv + damping))) / scale
             size = np.abs(step)
             if not (size >= floor).any():
-                p[flat] = start[owner]
+                p[plan.flat] = start[plan.owner]
                 return current, history
-            p[flat] = (start + step)[owner]
+            p[plan.flat] = (start + step)[plan.owner]
             try:
-                trial = _checked_cost(p, n, config)
+                trial = evaluate(p)
             except (InvalidSpecError, SingularFrequencyError):
                 # the step left the domain: a qe at or below zero, or a
                 # singular filter matrix at a target frequency
@@ -452,28 +463,27 @@ def _levenberg_marquardt(p, n, orbits, current, config, max_steps, tol, step_flo
     return current, history
 
 
-def _optimize_nelder_mead(problem, p, orbits, initial_cost, max_iter, tol, step_floor):
+def _optimize_nelder_mead(p, n, plan, evaluate, initial_cost, max_iter, tol, step_floor):
     from scipy.optimize import minimize
 
-    def fun(x: Sequence[float]) -> float:
-        for orbit, value in zip(orbits, x):
-            p[orbit] = value
-        return _checked_cost(p, problem.initial.n, problem.cost_config)
+    def fun(x: np.ndarray) -> float:
+        p[plan.flat] = x[plan.owner]
+        return evaluate(p)
 
-    x0 = np.array([p[orbit[0]] for orbit in orbits])
+    x0 = p[plan.heads]
     res = minimize(
         fun,
         x0,
         method="Nelder-Mead",
         options={
-            "maxiter": max_iter * max(len(orbits), 1) * 4,
+            "maxiter": max_iter * max(len(plan.orbits), 1) * 4,
             "fatol": tol,
             "xatol": step_floor * max(1.0, np.abs(x0).max()),
         },
     )
     final_cost = fun(res.x) if res.fun <= initial_cost else fun(x0)
     return OptimizationResult(
-        final=_matrix(p, problem.initial.n),
+        final=_matrix(p, n),
         final_cost=float(final_cost),
         iterations=int(res.nit),
         converged=bool(final_cost <= tol or res.success),

@@ -159,7 +159,8 @@ def _scattering(cm: CouplingMatrix, s):
         else:
             step = max(1, _BLOCK_POINTS // cm.n)
             for lo in range(0, points.size, step):
-                x[:, lo : lo + step] = _lu_scattering(cm, points[lo : lo + step])[1].reshape(4, -1)
+                block = points[lo : lo + step]
+                x[:, lo : lo + step] = _lu_scattering(system_matrix(cm, block), block, cm.qe1, cm.qen)[1].reshape(4, -1)
     return out
 
 
@@ -178,18 +179,18 @@ def _port_factors(qe1: float, qen: float) -> np.ndarray:
     return factors
 
 
-def _lu_scattering(cm: CouplingMatrix, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The LU route at the points of the 1-d s, under the guard: the
-    (s.size, n, 2) solutions of _lu_columns, left as they are for cost's
-    Jacobian, and S, formed in place on a port-major copy of their port
-    entries (rows and columns first and last, entry (p, q) in row 2 p + q)
-    and returned as (2, 2) + s.shape. The guard's scale is the largest
-    entry of the A it solves, at each point. Callers silence the warnings."""
-    a = system_matrix(cm, s)
+def _lu_scattering(a: np.ndarray, s: np.ndarray, qe1: float, qen: float) -> tuple[np.ndarray, np.ndarray]:
+    """The LU route on a, the system matrices at the points of the 1-d s for
+    loading qe1 and qen, under the guard: the (s.size, n, 2) solutions of
+    _lu_columns, left as they are for cost's Jacobian, and S, formed in
+    place on a port-major copy of their port entries (rows and columns
+    first and last, entry (p, q) in row 2 p + q) and returned as (2, 2) +
+    s.shape. The guard's scale is the largest entry of a, at each point.
+    Callers silence the warnings."""
     full = _lu_columns(a)
-    x = full.reshape(-1, 2 * cm.n).T.take(_PORT_ENTRIES, axis=0)
+    x = full.reshape(-1, 2 * a.shape[-1]).T.take(_PORT_ENTRIES, axis=0)
     x_abs = np.abs(x)
-    x *= _port_factors(cm.qe1, cm.qen)
+    x *= _port_factors(qe1, qen)
     x[::3] += 1.0
     _guard(s, np.abs(a).max(axis=(1, 2)), x_abs, x)
     return full, x.reshape((2, 2) + s.shape)

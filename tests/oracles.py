@@ -85,12 +85,12 @@ def residuals_all_columns(solved, orbits, config) -> tuple[np.ndarray, np.ndarra
     """optimizer._residuals the long way: dS11 along all n^2 + 2 entries of
     p = [*m.ravel(), qe1, qen], real and imaginary rows at the zeros and
     d|S11| rows at the edges, then one .sum per orbit over its columns."""
-    cm, x, s11 = solved.cm, solved.x, solved.s11
-    d = np.empty((s11.size, cm.n * cm.n + 2), dtype=complex)
+    qe1, qen, x, s11 = solved.qe1, solved.qen, solved.x, solved.s11
+    d = np.empty((s11.size, x.shape[1] ** 2 + 2), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d[:, :-2] = ((-2j / cm.qe1) * x[:, :, None] * x[:, None, :]).reshape(s11.size, -1)
-        d[:, -2] = 2.0 * x[:, 0] / cm.qe1**2 * (1.0 - x[:, 0] / cm.qe1)
-        d[:, -1] = -2.0 / cm.qe1 * x[:, -1] ** 2 / cm.qen**2
+        d[:, :-2] = ((-2j / qe1) * x[:, :, None] * x[:, None, :]).reshape(s11.size, -1)
+        d[:, -2] = 2.0 * x[:, 0] / qe1**2 * (1.0 - x[:, 0] / qe1)
+        d[:, -1] = -2.0 / qe1 * x[:, -1] ** 2 / qen**2
         zeros, edges = s11[:-2], s11[-2:]
         mag = np.abs(edges)
         r = np.concatenate([zeros.real, zeros.imag, mag - config.edge_s11_mag])

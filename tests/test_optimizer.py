@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 import resonet as rn
 from oracles import residuals_all_columns
 from resonet.errors import InvalidSpecError, NumericalError, SingularFrequencyError
-from resonet.optimizer import _checked_cost, _gather, _orbits, _positions, _residuals, _vector
+from resonet.optimizer import _Evaluator, _plans, _residuals, _vector
 
 # The descent methods that share the monotone, deterministic contract.
 DESCENT_METHODS = ("sweep", "gradient")
@@ -394,8 +396,20 @@ def test_gradient_step_past_a_positive_qe_is_rejected(cm4, xband4, config4):
     assert result.final_cost <= 1e-10
 
 
+def plan_for(keys, order, palindromic):
+    """The plan optimize takes for the free set keys from a start that is
+    palindromic or not."""
+    keyed, grouped = _plans(tuple(dict.fromkeys(keys)), order)
+    return grouped if palindromic and grouped is not None else keyed
+
+
+def evaluated(p, order, config):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _Evaluator(order, config)(p)
+
+
 def jacobian_cases(order, rng):
-    """(p, orbits) over ladder, diagonal, qe1/qen and cross keys: once at a
+    """(p, plan) over ladder, diagonal, qe1/qen and cross keys: once at a
     palindromic point, where mirrored keys form orbits, once off it."""
     spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
     cm = rn.synthesize_design(spec).matrix
@@ -408,10 +422,9 @@ def jacobian_cases(order, rng):
         value = m[i - 1, j - 1] * rng.uniform(0.95, 1.05) if j == i + 1 else rng.uniform(-0.1, 0.1)
         m[i - 1, j - 1] = m[j - 1, i - 1] = value
     palindromic = (m + m[::-1, ::-1].T) / 2.0
-    positions = [_positions(key, order) for key in dict.fromkeys(keys)]
     for start, qe in ((palindromic, (cm.qe1, cm.qe1)), (m, (cm.qe1 * 1.02, cm.qen * 0.98))):
         p = _vector(rn.CouplingMatrix(m=start, qe1=qe[0], qen=qe[1]))
-        yield p, _orbits(positions, p, order), rn.CostConfig.from_spec(spec)
+        yield p, plan_for(keys, order, start is palindromic), rn.CostConfig.from_spec(spec)
 
 
 @pytest.mark.parametrize("order", [4, 6, 8, 12])
@@ -441,12 +454,12 @@ def test_residuals_are_the_all_column_construction_bit_for_bit(order):
             if name.startswith("mirror"):
                 m, qe = (m + m[::-1, ::-1].T) / 2.0, (qe[0], qe[0])
             p = _vector(rn.CouplingMatrix(m=m, qe1=qe[0], qen=qe[1]))
-            orbits = _orbits([_positions(key, order) for key in keys], p, order)
+            plan = plan_for(keys, order, name.startswith("mirror"))
             if name.startswith("mirror"):
-                assert max(len(orbit) for orbit in orbits) == 4
-            solved = _checked_cost(p, order, config)
-            r, jac = _residuals(solved, _gather(orbits, order), config)
-            r0, jac0 = residuals_all_columns(solved, orbits, config)
+                assert max(len(orbit) for orbit in plan.orbits) == 4
+            solved = evaluated(p, order, config)
+            r, jac = _residuals(solved, plan.gather, config)
+            r0, jac0 = residuals_all_columns(solved, plan.orbits, config)
             assert r.tobytes() == r0.tobytes()
             assert jac.shape == jac0.shape and jac.tobytes() == jac0.tobytes()
             # the layout too: the least-squares step's column norms sum in it
@@ -457,12 +470,12 @@ def test_residuals_are_the_all_column_construction_bit_for_bit(order):
 def test_jacobian_matches_central_differences(order):
     rng = np.random.default_rng(order)
     orbit_counts = []
-    for p, orbits, config in jacobian_cases(order, rng):
-        orbit_counts.append(len(orbits))
-        residuals = lambda q: _residuals(_checked_cost(q, order, config), _gather(orbits, order), config)
+    for p, plan, config in jacobian_cases(order, rng):
+        orbit_counts.append(len(plan.orbits))
+        residuals = lambda q: _residuals(evaluated(q, order, config), plan.gather, config)
         r, jac = residuals(p)
-        assert jac.shape == (r.size, len(orbits))
-        for k, orbit in enumerate(orbits):
+        assert jac.shape == (r.size, len(plan.orbits))
+        for k, orbit in enumerate(plan.orbits):
             h = 1e-6 * max(1.0, abs(p[orbit[0]]))
             plus, minus = p.copy(), p.copy()
             plus[orbit] += h
@@ -475,26 +488,29 @@ def test_jacobian_matches_central_differences(order):
 
 def test_least_squares_solves_no_point_twice(cm4, xband4, config4, monkeypatch):
     # Each Jacobian is built from the LU solve its point's cost came from,
-    # and every solve is a call of the module's cost. From this start least
-    # squares reaches tol by itself (3 steps), so no sweep runs.
-    seen, costs = [], []
-    lu_scattering, cost = rn.optimizer._lu_scattering, rn.optimizer.cost
+    # and every solve is a call of an evaluator: cost's for the start, then
+    # the run's one evaluator for every trial. From this start least squares
+    # reaches tol by itself (3 steps), so no sweep runs.
+    seen, evaluators, solves = [], [], []
+    lu_scattering, call = rn.optimizer._lu_scattering, _Evaluator.__call__
 
-    def spy(cm, s):
-        seen.append((cm.m.tobytes(), cm.qe1, cm.qen))
-        return lu_scattering(cm, s)
+    def spy(a, s, qe1, qen):
+        solves.append(a.tobytes())
+        return lu_scattering(a, s, qe1, qen)
 
-    def cost_spy(cm, config):
-        costs.append(cost(cm, config))
-        return costs[-1]
+    def evaluator_spy(self, p):
+        seen.append(p.tobytes())
+        evaluators.append(self)
+        return call(self, p)
 
     monkeypatch.setattr("resonet.optimizer._lu_scattering", spy)
-    monkeypatch.setattr("resonet.optimizer.cost", cost_spy)
+    monkeypatch.setattr(_Evaluator, "__call__", evaluator_spy)
     problem = perturbed_problem(cm4, xband4, config4, seed=7, amount=0.05)
     result = rn.optimize(problem, method="gradient")
     assert result.converged and result.final_cost <= 1e-10
     assert len(seen) > result.iterations > 0
-    assert len(set(seen)) == len(seen) == len(costs)
+    assert len(set(seen)) == len(seen) == len(set(solves)) == len(solves)
+    assert len(set(map(id, evaluators))) == 2 and evaluators.count(evaluators[-1]) == len(seen) - 1
     assert type(result.final_cost) is float
 
 
@@ -511,3 +527,128 @@ def test_gradient_converges_to_the_synthesized_matrix(order):
         assert result.converged
         assert result.final_cost == rn.cost(result.final, config)
         assert np.abs(result.final.m - cm.m).max() <= 1e-9
+
+
+def outcome(evaluate):
+    """The cost bytes, or the class and message of the error, of evaluate()."""
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.float64(evaluate()).tobytes()
+    except (InvalidSpecError, SingularFrequencyError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("order", [3, 4, 8, 16])
+def test_evaluator_is_cost_of_the_matrix_bit_for_bit(order):
+    # One evaluator, as one optimize run keeps it, on random points and on
+    # points its trials must refuse: each gives what cost gives on the
+    # CouplingMatrix of the point, or the error that building it or cost
+    # raises. Its buffer keeps the last point's A, refused or not.
+    spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+    cm = rn.synthesize_design(spec).matrix
+    config = rn.CostConfig.from_spec(spec)
+    evaluate = _Evaluator(order, config)
+    rng = np.random.default_rng(order)
+    points = []
+    for qe_free in (False, True, False, True):
+        m = cm.m * rng.uniform(0.95, 1.05, (order, order))
+        m[np.diag_indices(order)] = rng.uniform(-0.03, 0.03, order)
+        qe = np.array([cm.qe1, cm.qen]) * (rng.uniform(0.95, 1.05, 2) if qe_free else 1.0)
+        points.append(np.concatenate([((m + m.T) / 2.0).ravel(), qe]))
+    w = config.zero_omegas[1]
+    refused = [(0.0, cm.qen), (-1.0, cm.qen), (cm.qe1, -0.5), (cm.qe1, np.nan), (1e-310, cm.qen), (1e-200, 1e-200)]
+    for qe1, qen in refused:
+        p = points[0].copy()
+        p[-2:] = qe1, qen
+        points.append(p)
+    for bad in (np.nan, np.inf):
+        p = points[1].copy()
+        p[order - 1] = p[order * (order - 1)] = bad  # m[0, n-1] and its twin
+        points.append(p)
+    # resonator 2 uncoupled and tuned to a target zero: A is singular there
+    m = np.zeros((order, order))
+    m[0, -1] = m[-1, 0] = 0.9
+    m[1, 1] = w
+    points.append(np.concatenate([m.ravel(), [1.0, 1.0]]))
+    kinds = []
+    for p in points + points[:2]:
+        expected = outcome(lambda: rn.cost(rn.CouplingMatrix(m=p[:-2].reshape(order, order), qe1=p[-2], qen=p[-1]), config))
+        assert outcome(lambda: evaluate(p)) == expected
+        kinds.append(expected[0] if isinstance(expected, tuple) else float)
+    assert kinds.count(float) == 6 and kinds.count(SingularFrequencyError) == 1
+
+
+def count_matrices(monkeypatch):
+    """A list that gets one entry per CouplingMatrix built from here on."""
+    built, post_init = [], rn.CouplingMatrix.__post_init__
+
+    def spy(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(rn.CouplingMatrix, "__post_init__", spy)
+    return built
+
+
+@pytest.mark.parametrize("method", ["gradient", "sweep", "nelder-mead"])
+def test_one_run_builds_one_matrix_and_reuses_the_cached_plan(cm4, xband4, config4, method, monkeypatch):
+    problem = perturbed_problem(cm4, xband4, config4, seed=7, amount=0.05)
+    built = count_matrices(monkeypatch)
+    first = rn.optimize(problem, method=method, max_iter=50)
+    assert built == [first.final]
+    hits = _plans.cache_info().hits
+    second = rn.optimize(problem, method=method, max_iter=50)
+    assert _plans.cache_info().hits == hits + 1
+    assert built == [first.final, second.final]
+    for plan in _plans(problem.free_parameters, 4):
+        if plan is None:
+            continue
+        (rows, cols), _, groups, order = plan.gather
+        for array in (*plan.orbits, plan.heads, plan.flat, plan.owner, rows, cols, order, *(g for g, _ in groups)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+
+def test_threads_on_one_free_set_give_the_serial_results(cm4, xband4, config4):
+    # Four threads on two cores, on one cached plan; a short switch interval
+    # interleaves them between numpy calls.
+    base = rn.OptimizationProblem(initial=cm4, spec=xband4, free_parameters=rn.ladder_free_parameters(4),
+                                  cost_config=config4)
+    problems = [rn.perturbed(base, np.random.default_rng(seed), 0.05) for seed in range(4)]
+    serial = [rn.optimize(problem, method=method) for problem in problems for method in DESCENT_METHODS]
+    results = [None] * len(serial)
+
+    def work(k):
+        for j, method in enumerate(DESCENT_METHODS):
+            results[2 * k + j] = rn.optimize(problems[k], method=method)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(problems))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, serial):
+        assert got.final_cost == want.final_cost and got.iterations == want.iterations
+        assert got.final.m.tobytes() == want.final.m.tobytes() and (got.final.qe1, got.final.qen) == (want.final.qe1, want.final.qen)
+
+
+def test_sweep_ends_converged_at_the_step_floor_above_tol(cm4, xband4, config4):
+    # One free coupling cannot undo the detuning of another: every step
+    # halves below the floor and the sweep stops converged, above tol.
+    m = np.array(cm4.m)
+    m[1, 2] = m[2, 1] = m[1, 2] * 1.05
+    start = rn.CouplingMatrix(m=m, qe1=cm4.qe1, qen=cm4.qen)
+    problem = rn.OptimizationProblem(initial=start, spec=xband4, free_parameters=(("m", 1, 2),), cost_config=config4)
+    steps = []
+    result = rn.optimize(problem, method="sweep", on_iteration=lambda i, c, s: steps.append(s))
+    assert result.converged and result.final_cost > 1e-6
+    assert result.iterations == len(steps) < 2000
+    assert steps[-1] / 2.0 < 1e-9 * max(1.0, abs(result.final.m[0, 1])) <= steps[-1]
+    assert result.final_cost < rn.cost(start, config4)
