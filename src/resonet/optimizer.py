@@ -5,13 +5,15 @@ and the band edges to the equiripple reflection level; it is zero exactly
 when the matrix reproduces the target response. The default refinement is
 Levenberg-Marquardt least squares on the analytic Jacobian of the
 reflection (Amari, IEEE T-MTT 48(9), 2000), built from the LU solve per
-target point that gave the cost. cost evaluates a run's start, one
-_Evaluator per run every trial of every method, by the same code: A at all
-target points (the zeros and both band edges) written into one buffer, its
-batched LU solve, and the guard, which reads its scale off that A. Cyclic
-coordinate descent, the bench practice of tuning one dimension at a time,
-remains as the "sweep" method and as the fallback where the least-squares
-step stalls. Both accept only iterates that lower the cost.
+target point that gave the cost; each damped trial solves the
+Marquardt-scaled normal equations once (Marquardt, J. SIAM 11(2), 1963).
+cost evaluates a run's start, one _Evaluator per run every trial of every
+method, by the same code: A at all target points (the zeros and both band
+edges) written into one buffer, its batched LU solve, and the guard, which
+reads its scale off that A. Cyclic coordinate descent, the bench practice
+of tuning one dimension at a time, remains as the "sweep" method and as the
+fallback where the least-squares step stalls. Both accept only iterates
+that lower the cost.
 """
 
 from __future__ import annotations
@@ -301,10 +303,12 @@ def optimize(
 
     The default "gradient" method is Levenberg-Marquardt least squares on
     the residual whose sum of squares is the cost, with the analytic
-    Jacobian and Marquardt scaling. A damped step is accepted only if it
-    lowers the cost; each rejection raises the damping. One iteration is
-    one accepted step, and max_step is the largest parameter change it
-    made. Two cases hand over to the "sweep" method:
+    Jacobian and Marquardt scaling: each damped step is one solve of the
+    scaled normal equations, formed once per accepted point. A damped step
+    is accepted only if it lowers the cost; each rejection raises the
+    damping. One iteration is one accepted step, and max_step is the
+    largest parameter change it made. Two cases hand over to the "sweep"
+    method:
 
     - No damped step larger than the relative step floor lowers the cost,
       and the cost is above tol: the sweep goes on from that point with
@@ -421,6 +425,9 @@ def optimize(
 def _levenberg_marquardt(p, plan, current, evaluate, max_steps, tol, step_floor):
     """Damped Gauss-Newton steps on plan's orbit values, in place on p, each
     from the Jacobian that its point's cost (start or accepted trial) keeps.
+    With Js the Jacobian over its column norms D, the point's H = Js^T Js and
+    g = Js^T r; a trial at damping mu solves (H + mu I) y = -g once and moves
+    by y / D, the minimizer of |r + J delta|^2 + mu |D delta|^2.
 
     Returns the cost and the (cost, max_step) of every accepted step, once
     the cost is at most tol, max_steps steps were taken, no damped step
@@ -437,12 +444,12 @@ def _levenberg_marquardt(p, plan, current, evaluate, max_steps, tol, step_floor)
         # Marquardt scaling: damp each coordinate by its own curvature.
         scale = np.sqrt(np.add.reduce(jac * jac, axis=0))  # np.linalg.norm(jac, axis=0), bit for bit
         scale[scale == 0.0] = 1.0
-        u, sv, vt = np.linalg.svd(jac / scale, full_matrices=False)
-        ur = u.T @ r
+        js = jac / scale
+        normal, gradient, eye = js.T @ js, js.T @ r, np.eye(jac.shape[1])
         start = p[plan.heads]
         floor = step_floor * np.maximum(1.0, np.abs(start))
         while True:
-            step = -(vt.T @ (sv * ur / (sv * sv + damping))) / scale
+            step = -np.linalg.solve(normal + damping * eye, gradient) / scale
             size = np.abs(step)
             if not (size >= floor).any():
                 p[plan.flat] = start[plan.owner]

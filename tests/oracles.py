@@ -9,6 +9,8 @@ each is a slower, independent way to the same numbers.
   the check on the eigenvalue route to the characteristic polynomials.
 - residuals_all_columns: the least-squares residual and its Jacobian over
   the orbits, from the derivative along every entry of p.
+- marquardt_step_svd: the damped least-squares step from the SVD of the
+  Marquardt-scaled Jacobian, with no normal equations.
 """
 
 from __future__ import annotations
@@ -97,3 +99,14 @@ def residuals_all_columns(solved, orbits, config) -> tuple[np.ndarray, np.ndarra
         edge_rows = (edges.conj()[:, None] * d[-2:]).real / np.where(mag > 0, mag, 1.0)[:, None]
         jac = np.concatenate([d[:-2].real, d[:-2].imag, edge_rows])
         return r, np.stack([jac[:, orbit].sum(axis=1) for orbit in orbits], axis=1)
+
+
+def marquardt_step_svd(r, jac, damping) -> np.ndarray:
+    """The minimizer of |r + J delta|^2 + damping |D delta|^2, D the column
+    norms of J (1 for a zero column), from the thin SVD U S V^T of Js = J / D:
+    delta = -V (S U^T r / (S^2 + damping)) / D. A zero or repeated column
+    gives a zero singular value, whose direction takes no step."""
+    scale = np.sqrt(np.add.reduce(jac * jac, axis=0))
+    scale[scale == 0.0] = 1.0
+    u, sv, vt = np.linalg.svd(jac / scale, full_matrices=False)
+    return -(vt.T @ (sv * (u.T @ r) / (sv * sv + damping))) / scale

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 import threading
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 import resonet as rn
-from oracles import residuals_all_columns
+from oracles import marquardt_step_svd, residuals_all_columns
+from resonet import optimizer
 from resonet.errors import InvalidSpecError, NumericalError, SingularFrequencyError
 from resonet.optimizer import _Evaluator, _plans, _residuals, _vector
 
@@ -512,6 +514,120 @@ def test_least_squares_solves_no_point_twice(cm4, xband4, config4, monkeypatch):
     assert len(set(seen)) == len(seen) == len(set(solves)) == len(solves)
     assert len(set(map(id, evaluators))) == 2 and evaluators.count(evaluators[-1]) == len(seen) - 1
     assert type(result.final_cost) is float
+
+
+def optimizer_jacobians():
+    """(r, jac) as least squares takes them from +-5% starts of orders 3-16,
+    the ladder keys without and with both qe."""
+    for order in range(3, 17):
+        spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+        cm, config = rn.synthesize_design(spec).matrix, rn.CostConfig.from_spec(spec)
+        for include_qe in (False, True):
+            keys = rn.ladder_free_parameters(order, include_qe=include_qe)
+            problem = rn.OptimizationProblem(initial=cm, spec=spec, free_parameters=keys, cost_config=config)
+            p = _vector(rn.perturbed(problem, np.random.default_rng(order), 0.05).initial)
+            yield _residuals(evaluated(p, order, config), plan_for(keys, order, False).gather, config)
+
+
+def tried_step(monkeypatch, r, jac, damping):
+    """The step _levenberg_marquardt tries at damping 1e-3 * 10^k when every
+    point has the residual r and Jacobian jac, with the damping it used: from
+    1e-3, each accepted trial lowers it tenfold (to 1e-12 at least) and each
+    rejected one raises it tenfold."""
+    tens = round(math.log10(damping / 1e-3))
+    verdicts = [True] * -tens + [False] * tens
+    used = 1e-3
+    for accepted in verdicts:
+        used = max(used / 10.0, 1e-12) if accepted else used * 10.0
+    monkeypatch.setattr(optimizer, "_residuals", lambda solved, gather, config: (r, jac))
+    coordinates = np.arange(jac.shape[1])
+    plan = optimizer._Plan([], coordinates, coordinates, coordinates, None)
+    base, steps = np.zeros(jac.shape[1]), []
+
+    def evaluate(p):
+        steps.append(p - base)
+        if len(steps) > len(verdicts):
+            return 0.0  # at tol: the run ends
+        if verdicts[len(steps) - 1]:
+            base[:] = p
+            return 1.0 - len(steps) / 100.0
+        return math.inf
+
+    evaluate.config = None
+    optimizer._levenberg_marquardt(base.copy(), plan, 1.0, evaluate, 100, 0.0, 1e-300)
+    assert len(steps) == len(verdicts) + 1
+    return steps[-1], used
+
+
+def damped_model(r, jac, damping, step):
+    """|r + J step|^2 + damping |D step|^2, D the column norms of J (1 for a
+    zero column): what a Levenberg-Marquardt step minimizes."""
+    scale = np.linalg.norm(jac, axis=0)
+    scale[scale == 0.0] = 1.0
+    return np.sum((r + jac @ step) ** 2) + damping * np.sum((scale * step) ** 2)
+
+
+LM_DAMPINGS = (1e-12, 1e-3, 1.0, 1e3)
+
+
+@pytest.mark.parametrize("damping", LM_DAMPINGS)
+def test_least_squares_step_is_the_svd_step(damping, monkeypatch):
+    # The normal equations square cond(Js), so agreement to 1e-9 needs a
+    # well-conditioned Js; every Jacobian here has cond(Js) <= 1e4.
+    for r, jac in optimizer_jacobians():
+        assert np.linalg.cond(jac / np.linalg.norm(jac, axis=0)) <= 1e4
+        step, used = tried_step(monkeypatch, r, jac, damping)
+        expected = marquardt_step_svd(r, jac, used)
+        assert np.linalg.norm(step - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("damping", LM_DAMPINGS)
+@pytest.mark.parametrize("degenerate", ["zero column", "equal columns"])
+def test_least_squares_step_on_a_rank_deficient_jacobian(degenerate, damping, monkeypatch):
+    # H + damping I stays solvable down to damping 1e-12. A zero column takes
+    # no step; along the null direction of equal columns the steps may part,
+    # but the damped model they minimize has the same value.
+    for r, jac in optimizer_jacobians():
+        jac = jac.copy()
+        jac[:, 1] = 0.0 if degenerate == "zero column" else jac[:, 0]
+        step, used = tried_step(monkeypatch, r, jac, damping)
+        assert np.isfinite(step).all()
+        assert degenerate != "zero column" or step[1] == 0.0
+        expected = damped_model(r, jac, used, marquardt_step_svd(r, jac, used))
+        assert damped_model(r, jac, used, step) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("preset, include_qe", [("xband-8pole", False), ("yband-4pole", True)])
+def test_least_squares_solves_one_small_system_per_trial_and_no_svd(preset, include_qe, monkeypatch):
+    # Every trial step is one real solve of the damped normal equations, and
+    # the step that falls below the floor, if any, is one more.
+    spec = rn.bundled_filter_spec(preset)
+    keys = rn.ladder_free_parameters(spec.order, include_qe=include_qe)
+    problem = rn.OptimizationProblem(initial=rn.synthesize_design(spec).matrix, spec=spec, free_parameters=keys,
+                                     cost_config=rn.CostConfig.from_spec(spec))
+    problem = rn.perturbed(problem, np.random.default_rng(1), 0.05)
+    calls = {"svd": 0, "solve": 0, "evaluate": 0}
+    svd, solve, call = np.linalg.svd, np.linalg.solve, _Evaluator.__call__
+
+    def svd_spy(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def solve_spy(a, b):
+        calls["solve"] += np.ndim(a) == 2 and np.isrealobj(a)
+        return solve(a, b)
+
+    def evaluator_spy(self, p):
+        calls["evaluate"] += 1
+        return call(self, p)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(np.linalg, "solve", solve_spy)
+    monkeypatch.setattr(_Evaluator, "__call__", evaluator_spy)
+    result = rn.optimize(problem, method="gradient")
+    assert result.final_cost <= 1e-10 and 0 < result.iterations < 10  # least squares alone, no sweep
+    assert calls["svd"] == 0
+    assert 0 < calls["solve"] <= calls["evaluate"] + 1
 
 
 @pytest.mark.parametrize("order", range(4, 21))
