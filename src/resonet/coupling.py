@@ -105,15 +105,11 @@ def pole_matrix(cm: CouplingMatrix) -> np.ndarray:
     return -system_matrix(cm, 0.0)
 
 
-def _eigenpairs(cm: CouplingMatrix, reflection: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _eigenpairs(cm: CouplingMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues lam, unit eigenvectors v (columns) and d = diag(v^T v) of
-    the pole matrix, or with reflection of M_F: 2 / qe1 added at [0, 0].
-    Both are complex-symmetric, so for distinct eigenvalues inv(v) =
-    diag(1 / d) v^T, and 1 / |d_k| is the condition number of lam_k
-    (Wilkinson, The Algebraic Eigenvalue Problem, ch. 2). Raises
+    the pole matrix. It is complex-symmetric, so for distinct eigenvalues
+    inv(v) = diag(1 / d) v^T, and 1 / |d_k| is the condition number of
+    lam_k (Wilkinson, The Algebraic Eigenvalue Problem, ch. 2). Raises
     LinAlgError where eig fails."""
-    a = pole_matrix(cm)
-    if reflection:
-        a[0, 0] += 2.0 / cm.qe1
-    lam, v = np.linalg.eig(a)
+    lam, v = np.linalg.eig(pole_matrix(cm))
     return lam, v, (v * v).sum(axis=0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingMatrix, _eigenpairs, pole_matrix
+from .coupling import CouplingMatrix, pole_matrix
 from .errors import InvalidSpecError, NumericalError, SingularFrequencyError
 from .response import _scattering
 
@@ -87,10 +87,12 @@ def extract_polynomials(cm: CouplingMatrix) -> CharacteristicPolynomials:
     if cm.n < 2:
         raise InvalidSpecError("polynomial extraction needs order >= 2")
     mm = pole_matrix(cm)
+    mf = mm.copy()
+    mf[0, 0] += 2.0 / cm.qe1
     sub = mm[1:, :-1]
     try:
-        e_roots = _eigenpairs(cm)[0]
-        f_roots = _eigenpairs(cm, reflection=True)[0]
+        e_roots = np.linalg.eigvals(mm)
+        f_roots = np.linalg.eigvals(mf)
         if np.any(np.tril(sub, -1)):
             import scipy.linalg  # only cross-coupled matrices pay for the import
 

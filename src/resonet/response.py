@@ -8,18 +8,18 @@ of inv(A) by one of two routes. Long sweeps take the pole-residue form:
 one eigen solve of the complex-symmetric pole matrix, whose inverse
 eigenvector matrix is diag(1 / d) V^T, then per block a pole-major
 reciprocal and one product with the residues, O(n) per point, S21 a copy
-of S12. They take it only where one bound per matrix,
-sum_k |r_k| / |Re lam_k|, proves that the singularity guard passes at
-every point of the grid, so no guard runs. Every other input, the
+of S12. They take it only where _residue_ports admits the matrix and
+every point is finite with Re s >= 0, which proves that the singularity
+guard passes at every point, so no guard runs. Every other input, the
 one-point s_parameters and s_matrix and the optimizer's targets too, is
 _lu_scattering's: one LU solve per point under the guard, whose scale,
 max|A_ij| at each point, is read off the A it solves. So a grid equals
-per-point s_matrix bit for bit within one numpy/BLAS stack unless the
-bound proved every point safe; there the last bits depend on the BLAS
-kernel's GEMM. Either way a grid gives the same bytes on every call and
-holds the 64 B per point of its result plus one block's scratch, about
-n * 64 KiB. The tests check the kernel against a determinant/cofactor
-reference (tests/oracles.py) under the same guard.
+per-point s_matrix bit for bit within one numpy/BLAS stack unless it
+takes residues; there the last bits depend on the BLAS kernel's GEMM.
+Either way a grid gives the same bytes on every call and holds the 64 B
+per point of its result plus one block's scratch, about n * 64 KiB. The
+tests check the kernel against a determinant/cofactor reference
+(tests/oracles.py) under the same guard.
 """
 
 from __future__ import annotations
@@ -66,9 +66,12 @@ _RESIDUE_POINTS_PER_POLE = 4
 # 1e-7. And inv(V) = diag(1 / d) V^T only where V^T V is diagonal: off it,
 # |v_i^T v_j| / sqrt(|d_i d_j|) reads up to 2e-13 on distinct poles and up
 # to order 1 where eig mixes the vectors of a (nearly) repeated pole. Past
-# either limit the sweep uses LU; at kappa = 40 the kappa^2 term is ~3e-12.
+# either limit, or past _ESTIMATE_LIMIT (_residue_ports), the sweep uses LU:
+# |S - S_LU| stayed within 2.1 times the estimate, which reads at most
+# 1.7e-12 on Chebyshev designs up to order 20 and 8e-11 on some random ones.
 _KAPPA_LIMIT = 40.0
 _GRAM_TOL = 1e-10
+_ESTIMATE_LIMIT = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,14 +131,12 @@ def _scattering(cm: CouplingMatrix, s):
     """The 2x2 block [[S11, S12], [S21, S22]] at every point of s, as the
     (2, 2) + s.shape result: S_pq is the contiguous row result[p, q].
 
-    Grids of more than _RESIDUE_POINTS_PER_POLE points per resonator and
-    more than 48 in all, on a matrix _residue_ports accepts, take the port
-    entries of inv(A) from the pole residues, in one (n, _BLOCK_POINTS)
-    scratch array, but only where _no_point_can_fail proves that the guard
-    passes at every point, so no guard runs. Every other input is
-    _lu_scattering's, in blocks of _BLOCK_POINTS // n points, so that a
-    block's A holds as many bytes as the residue scratch: it equals
-    per-point s_matrix bit for bit.
+    Grids of more than max(_RESIDUE_POINTS_PER_POLE n, 48) points, each
+    finite with Re s >= 0, on a matrix _residue_ports admits, take the port
+    entries of inv(A) from the pole residues, unguarded, in one
+    (n, _BLOCK_POINTS) scratch array. Any other input takes _lu_scattering
+    in blocks of _BLOCK_POINTS // n points, an A as large as the residue
+    scratch, and equals per-point s_matrix bit for bit.
     """
     s = np.asarray(s, dtype=complex)
     points = s.ravel()
@@ -143,7 +144,7 @@ def _scattering(cm: CouplingMatrix, s):
     x = out.reshape(4, points.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         poles = _residue_ports(cm) if points.size > max(_RESIDUE_POINTS_PER_POLE * cm.n, 48) else None
-        if poles is not None and _no_point_can_fail(cm, points, *poles):
+        if poles is not None and np.isfinite(points).all() and points.real.min() >= 0:
             lam, residues = poles
             factors = _port_factors(cm.qe1, cm.qen)
             t = np.empty((cm.n, min(_BLOCK_POINTS, points.size)), dtype=complex)
@@ -231,49 +232,35 @@ _BLOCK_POINTS = 4096
 
 def _residue_ports(cm: CouplingMatrix) -> tuple[np.ndarray, np.ndarray] | None:
     """The poles lam and the (4, n) port residues of cm, row 2 p + q
-    holding r_pq, or None where the eigen solve fails or passes a limit.
+    holding r_pq, or None where the matrix may not take residues.
 
     inv(A(s)) = V diag(1 / (s - lam)) inv(V) with inv(V) = diag(1 / d) V^T
     (coupling._eigenpairs), so entry (p, q) is sum_k r_pqk / (s - lam_k),
     r_pqk = V[p, k] V[q, k] / d_k, and rows 1 and 2 are equal: O(n) work per
     point after one eigen solve (Cameron, Kudsia & Mansour, ch. 8).
+
+    It admits the matrix where eig succeeds, V^T V is diagonal to _GRAM_TOL
+    and every pole has kappa_k = 1 / |d_k| <= _KAPPA_LIMIT and an estimate
+    n eps ||M||_F kappa_k <= T decay_k, for M the pole matrix, T the limit
+    _ESTIMATE_LIMIT and decay_k = -Re lam_k (a pole at Re lam >= 0 or a NaN
+    fails). The guard then passes at each finite s with Re s >= 0: there
+    |s - lam_k| >= decay_k, as rounded too, and |r_pqk| <= kappa_k, so
+    |x_pq| <= sum_k kappa_k / decay_k <= T / (eps ||M||_F); its scale is
+    max|A_ij| <= |s| + ||M||_F. Where |s| <= 2 ||M||_F, scale |x| <= 3 T / eps,
+    about 1.4e6; past it |s - lam_k| > |s| / 2, so |x| < 80 n / |s| and
+    scale |x| < 120 n. Both lie far below _COND_LIMIT, so x and S are finite.
     """
     try:
         lam, v, d = _eigenpairs(cm)
     except np.linalg.LinAlgError:
         return None
     size = np.abs(d)
-    off = np.abs(v.T @ v - np.diag(d))
-    if not (size.min() * _KAPPA_LIMIT >= 1.0 and (off <= _GRAM_TOL * np.sqrt(np.outer(size, size))).all()):
+    gram = (np.abs(v.T @ v - np.diag(d)) <= _GRAM_TOL * np.sqrt(np.outer(size, size))).all()
+    estimate = cm.n * np.finfo(float).eps * np.linalg.norm(pole_matrix(cm)) / size
+    if not (gram and size.min() * _KAPPA_LIMIT >= 1.0 and (estimate <= _ESTIMATE_LIMIT * -lam.real).all()):
         return None
     ends = v[[0, -1]]
     return lam, (ends[[0, 0, 1]] * ends[[0, 1, 1]] / d)[[0, 1, 1, 2]]
-
-
-def _no_point_can_fail(cm: CouplingMatrix, s: np.ndarray, lam: np.ndarray, residues: np.ndarray) -> bool:
-    """True when one bound proves that the guard passes at every point of s.
-
-    With every pole in the open left half plane and Re s >= 0, the real
-    part of fl(s - lam_k) is fl(Re s - Re lam_k) >= -Re lam_k, rounding
-    being monotone, so |fl(s - lam_k)| >= -Re lam_k and every port entry
-    obeys |x_pq| <= sum_k |r_pqk| / (-Re lam_k). The guard's scale max|A_ij|
-    is at most max|s| + max|d| over the diagonal constants d of A - s I, or
-    the largest coupling if that is larger. Their product, with 1e-9 of
-    slack for the rounding of the sums, at or below _COND_LIMIT means no
-    point passes the cond2 limit; it also bounds |x| and hence, the port
-    factors being finite, keeps every S-parameter finite. False in every
-    other case, including any NaN.
-    """
-    decay = -lam.real
-    if not (decay.min() > 0 and s.real.min() >= 0):
-        return False
-    a0 = np.abs(pole_matrix(cm))  # |A(0)|: |d| on the diagonal, |couplings| off it
-    # the entries after the first, in rows of n + 1, minus the last column:
-    # a view of the off-diagonal entries
-    off = a0.ravel()[1:].reshape(cm.n - 1, cm.n + 1)[:, :-1].max(initial=0.0)
-    scale = max(np.abs(s).max() + a0.diagonal().max(), off)
-    reach = (np.abs(residues) / decay).sum(axis=1).max()
-    return scale * reach * (1.0 + 1e-9) <= _COND_LIMIT
 
 
 def _guard(s: np.ndarray, scale: np.ndarray, x_abs: np.ndarray, values: np.ndarray) -> None:
@@ -341,15 +328,13 @@ def sweep(cm: CouplingMatrix, spec: FilterSpec, f_start_hz: float, f_stop_hz: fl
 
     S11, S21, S12 and S22 all come from one kernel call at s = j omega,
     omega = normalized_frequency(f). Within one numpy/BLAS stack a grid
-    gives the same bytes on every call, and it equals s_matrix at each
-    point exactly unless it has more than max(4 n, 48) points and one bound
-    proves that no point can fail the singularity guard. Such a grid takes
-    the pole-residue path, whose last bits depend on the BLAS kernel, and
-    agrees with s_matrix to rounding, with S21 a copy of S12: on 100k
-    points over 9-11 GHz within 1.4e-13 on Chebyshev designs up to order 15
-    and 3.6e-13 up to order 20, and on 2001 points over omega -3 to 3 within
-    1.5e-11 on 950 random lossless matrices up to order 20 (OpenBLAS, x86).
-    It holds the 64 B per point of the S block it returns plus one block's
+    gives the same bytes on every call. It equals s_matrix at each point
+    exactly unless it has more than max(4 n, 48) points on a matrix that
+    _residue_ports admits; then it takes pole residues, whose last bits
+    depend on the BLAS kernel, with S21 a copy of S12. Against the closed
+    form Chebyshev |S|^2 of orders 2 to 20 on 100k points over omega -3 to
+    3, LU stays within 9e-15 and residues within 5e-13 (OpenBLAS, x86). It
+    holds the 64 B per point of the S block it returns plus one block's
     scratch, about n * 64 KiB on either path: about 10 MB traced in all for
     100k points at n = 4 to 20 on residues and n = 2 to 20 on LU.
     """

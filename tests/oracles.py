@@ -11,16 +11,20 @@ each is a slower, independent way to the same numbers.
   the orbits, from the derivative along every entry of p.
 - marquardt_step_svd: the damped least-squares step from the SVD of the
   Marquardt-scaled Jacobian, with no normal equations.
+- chebyshev_reference: the closed-form response, poles, reflection zeros
+  and ripple constant of the equiripple prototype synthesize_design builds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from resonet.coupling import CouplingMatrix, system_matrix
 from resonet.errors import InvalidSpecError
+from resonet.prototype import FilterSpec, _realized_ripple_db
 from resonet.response import _guard
 
 
@@ -110,3 +114,46 @@ def marquardt_step_svd(r, jac, damping) -> np.ndarray:
     scale[scale == 0.0] = 1.0
     u, sv, vt = np.linalg.svd(jac / scale, full_matrices=False)
     return -(vt.T @ (sv * (u.T @ r) / (sv * sv + damping))) / scale
+
+
+@dataclass(frozen=True)
+class ChebyshevReference:
+    """The equiripple prototype of order n in closed form: eps from the
+    realized ripple, the poles E and reflection zeros F in the order
+    k = 1 .. n, and epsilon = eps 2^(n - 1), the ripple constant of the
+    monic polynomials E and F."""
+
+    order: int
+    eps: float
+    e_roots: np.ndarray
+    f_roots: np.ndarray
+    epsilon: float
+
+    def s21_squared(self, omega) -> np.ndarray:
+        """|S21(j omega)|^2 = 1 / (1 + eps^2 T_n(omega)^2), with T_n(omega)
+        = cos(n acos omega) in the band and cosh(n acosh |omega|) off it, up
+        to a sign that squaring drops."""
+        w = np.abs(np.asarray(omega, dtype=float))
+        with np.errstate(invalid="ignore"):  # arccos and arccosh are NaN where the other is taken
+            t = np.where(w <= 1.0, np.cos(self.order * np.arccos(w)), np.cosh(self.order * np.arccosh(w)))
+        return 1.0 / (1.0 + (self.eps * t) ** 2)
+
+
+def chebyshev_reference(spec: FilterSpec) -> ChebyshevReference:
+    """The closed-form Chebyshev response of spec's prototype (Cameron,
+    Kudsia & Mansour, ch. 3; Matthaei, Young & Jones, ch. 4): with
+    eps^2 = 10^(L / 10) - 1 for the ripple L that chebyshev_g_values
+    realizes, theta_k = (2 k - 1) pi / 2 n and a = asinh(1 / eps) / n, the
+    poles are -sinh(a) sin(theta_k) + j cosh(a) cos(theta_k) and the
+    reflection zeros j cos(theta_k)."""
+    n = spec.order
+    eps = math.sqrt(10.0 ** (_realized_ripple_db(spec.ripple_db) / 10.0) - 1.0)
+    theta = (2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2.0 * n)
+    a = math.asinh(1.0 / eps) / n
+    return ChebyshevReference(
+        order=n,
+        eps=eps,
+        e_roots=-math.sinh(a) * np.sin(theta) + 1j * math.cosh(a) * np.cos(theta),
+        f_roots=1j * np.cos(theta),
+        epsilon=eps * 2.0 ** (n - 1),
+    )

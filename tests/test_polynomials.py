@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 import resonet as rn
-from oracles import char_poly_from_eigenvalues
+from oracles import char_poly_from_eigenvalues, chebyshev_reference
 from resonet.errors import InvalidSpecError, NumericalError, SingularFrequencyError
 
 
@@ -209,6 +209,21 @@ def test_polynomial_path_matches_matrix_path(xband4, xband8, yband4):
             s11, s21 = rn.s_parameters(cm, 1j * omega)
             assert abs(p11 - abs(s11)) < 1e-7
             assert abs(p21 - abs(s21)) < 1e-7
+
+
+@pytest.mark.parametrize("order", range(2, 21))
+def test_roots_and_epsilon_are_the_closed_form_chebyshev_ones(order):
+    # against oracles.chebyshev_reference, roots matched in order of their
+    # imaginary parts, which are distinct. Measured worst (x86, OpenBLAS's
+    # SkylakeX, Haswell, Sandybridge and Prescott kernels): 5.7e-15 on the
+    # roots (F, n = 14) and 5.9e-14 relative on epsilon (n = 16, Haswell);
+    # the bounds leave 2.6x and 3.4x
+    spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+    cp = rn.extract_polynomials(rn.synthesize_design(spec).matrix)
+    ref = chebyshev_reference(spec)
+    for got, expected in ((np.array(cp.e_roots), ref.e_roots), (np.array(cp.f_roots), ref.f_roots)):
+        assert np.abs(got[np.argsort(got.imag)] - expected[np.argsort(expected.imag)]).max() <= 1.5e-14
+    assert cp.epsilon == pytest.approx(ref.epsilon, rel=2e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("order", range(2, 21))
