@@ -32,12 +32,11 @@ from .errors import InvalidSpecError, NumericalError, SingularFrequencyError
 from .prototype import FilterSpec, _realized_ripple_db
 from .response import _lu_scattering
 
-_PALINDROME_RTOL = 1e-12
-
 # Least-squares steps after which a run still above tol is dropped. From
 # +-5% starts, runs that reached tol took at most 27 steps (orders 4-16;
-# ladder, diagonal, cross and qe keys); runs that missed it crept along a
-# valley away from the solution for as long as they were let.
+# ladder, diagonal, cross and qe keys). From some +-10-20% starts at orders
+# 8-16, mirror-symmetric or not, least squares creeps along a valley away
+# from the solution for as long as it is let, where the sweep reaches tol.
 _GRADIENT_STEPS = 100
 
 # First coordinate-descent step, relative to the parameter's magnitude.
@@ -121,18 +120,18 @@ def cost(cm: CouplingMatrix, config: CostConfig) -> float:
 
 def _residuals(solved: _Solved, gather, config: CostConfig) -> tuple[np.ndarray, np.ndarray]:
     """The residual r = [Re S11(j w_z), Im S11(j w_z), |S11(+-j)| - level],
-    whose sum of squares is the cost, and its Jacobian over the orbit
-    values, from the LU solve that the cost `solved` keeps, at the free
-    positions of _plan only; callers silence an entry's overflow to inf or NaN.
+    whose sum of squares is the cost, and its Jacobian over the free keys,
+    from the LU solve that the cost `solved` keeps, at the free positions of
+    _plan only; callers silence an entry's overflow to inf or NaN.
 
     A is complex-symmetric, so with x = inv(A) e1 the derivative of
     S11 = 1 - 2 x_1 / qe1 along one entry m_ij is -(2j / qe1) x_i x_j;
     qe1 and qen enter through their diagonal loading, qe1 also through
-    the port term. An orbit's column sums its positions in p as one .sum per
-    orbit does, so mirrored entries share one derivative and a symmetric step.
+    the port term. A key's column sums its positions in p, (i, j) then
+    (j, i), so the two entries of an m key share one derivative and one step.
     """
     qe1, qen, x, s11 = solved.qe1, solved.qen, solved.x, solved.s11
-    (rows, cols), qe, groups, order = gather
+    (rows, cols), qe, index, starts = gather
     z = s11.size - 2
     d = np.empty((s11.size, rows.size + len(qe)), dtype=complex)
     np.multiply((-2j / qe1) * x.take(rows, axis=1), x.take(cols, axis=1), out=d[:, : rows.size])
@@ -148,8 +147,7 @@ def _residuals(solved: _Solved, gather, config: CostConfig) -> tuple[np.ndarray,
     jac[:z], jac[z : 2 * z] = d[:z].real, d[:z].imag
     # d|S11| = Re(conj(S11) dS11) / |S11|, taken as 0 where |S11| = 0
     np.divide((edges.conj()[:, None] * d[z:]).real, (mag + (mag == 0))[:, None], out=jac[2 * z :])
-    sums = [jac.take(index, axis=1).reshape(r.size, -1, length).sum(axis=-1) for index, length in groups]
-    return r, np.concatenate(sums, axis=1).take(order, axis=1)  # C order: the step's column sums follow it
+    return r, np.add.reduceat(jac.take(index, axis=1), starts, axis=1)
 
 
 def ladder_free_parameters(order: int, include_qe: bool = False) -> tuple[ParamKey, ...]:
@@ -244,51 +242,27 @@ def perturbed(problem: OptimizationProblem, rng: np.random.Generator, fraction: 
     return replace(problem, initial=_matrix(p, n))
 
 
-_Plan = namedtuple("_Plan", "orbits heads flat owner gather")
-
-
-def _plan(orbits: list[list[int]], n: int) -> _Plan:
-    """One coordinate per orbit (positions in p), read-only: the orbits, their
-    first positions, every position with its orbit, and _residuals' indices:
-    free (i, j) and qe (0, 1) as in p, orbit places per length, and back."""
-    free = sorted(q for orbit in orbits for q in orbit)
-    column = {q: k for k, q in enumerate(free)}
-    sizes = sorted({len(orbit) for orbit in orbits})
-    members = [[k for k, orbit in enumerate(orbits) if len(orbit) == size] for size in sizes]
-    groups = [np.array([column[q] for k in ks for q in orbits[k]]) for ks in members]
-    grouped = sum(members, [])
-    order = np.array(sorted(range(len(grouped)), key=grouped.__getitem__))  # np.argsort: +0.3 MB RSS of sort code
-    rows, cols = np.array([divmod(q, n) for q in free if q < n * n], dtype=np.intp).reshape(-1, 2).T
-    arrays = tuple(np.array(orbit) for orbit in orbits)
-    heads, flat = np.array([orbit[0] for orbit in orbits]), np.concatenate(arrays)
-    owner = np.repeat(np.arange(len(orbits)), [len(orbit) for orbit in orbits])
-    for array in (*arrays, heads, flat, owner, rows, cols, *groups, order):
-        array.setflags(write=False)
-    gather = ((rows, cols), tuple(q - n * n for q in free if q >= n * n), tuple(zip(groups, sizes)), order)
-    return _Plan(arrays, heads, flat, owner, gather)
+_Plan = namedtuple("_Plan", "positions heads flat owner gather")
 
 
 @functools.lru_cache(maxsize=64)
-def _plans(free_parameters: tuple[ParamKey, ...], n: int) -> tuple[_Plan, _Plan | None]:
-    """Cached plans of a normalized free set: one coordinate per key, and for a
-    palindromic start one per mirror orbit (m[i, j] with m[n-1-j, n-1-i], qe1
-    with qen), or None unless the set is mirror-closed and an orbit joins keys."""
-
-    def mirror(q: int) -> int:
-        i, j = divmod(q, n)
-        return 2 * n * n + 1 - q if i == n else (n - 1 - j) * n + n - 1 - i
-
+def _plan(free_parameters: tuple[ParamKey, ...], n: int) -> _Plan:
+    """The cached plan of a normalized free set, one coordinate per key,
+    read-only: each key's positions in p, their first ones, every position
+    with its key, and _residuals' indices: free (i, j) and qe (0, 1) as in p,
+    the columns of every key's positions in key order, and where each starts."""
     positions = [_positions(key, n) for key in free_parameters]
-    free = {q for pos in positions for q in pos}
-    orbits: list[list[int]] = []
-    taken: set[int] = set()
-    for pos in positions:
-        if pos[0] not in taken:
-            orbit = pos + [mirror(q) for q in pos if mirror(q) not in pos]
-            taken.update(orbit)
-            orbits.append(orbit)
-    closed = all(mirror(q) in free for q in free) and len(orbits) < len(positions)
-    return _plan(positions, n), _plan(orbits, n) if closed else None
+    free = sorted(q for pos in positions for q in pos)
+    column = {q: k for k, q in enumerate(free)}
+    rows, cols = np.array([divmod(q, n) for q in free if q < n * n], dtype=np.intp).reshape(-1, 2).T
+    arrays = tuple(np.array(pos) for pos in positions)
+    heads, flat = np.array([pos[0] for pos in positions]), np.concatenate(arrays)
+    owner = np.repeat(np.arange(len(positions)), [len(pos) for pos in positions])
+    index, starts = np.array([column[q] for q in flat]), np.flatnonzero(np.diff(owner, prepend=-1))
+    for array in (*arrays, heads, flat, owner, rows, cols, index, starts):
+        array.setflags(write=False)
+    gather = ((rows, cols), tuple(q - n * n for q in free if q >= n * n), index, starts)
+    return _Plan(arrays, heads, flat, owner, gather)
 
 
 def optimize(
@@ -311,29 +285,23 @@ def optimize(
     method:
 
     - No damped step larger than the relative step floor lowers the cost,
-      and the cost is above tol: the sweep goes on from that point with
-      one coordinate per free key, and its sweeps count on against
-      max_iter.
+      and the cost is above tol: the sweep goes on from that point, and
+      its sweeps count on against max_iter.
     - After _GRADIENT_STEPS (100) steps, fewer than max_iter, the cost
       is still above tol: the least-squares run is discarded, and the
-      result is the "sweep" method's from the start. On mirror-symmetric
-      starts with both qe free, least squares can creep along a valley
-      away from the solution.
+      result is the "sweep" method's from the start.
 
     "sweep" is cyclic coordinate descent: each sweep tries a positive then
     a negative step on every free coordinate, accepting only
-    improvements; a sweep with no improvement halves every step. One
+    improvements; a sweep with no improvement halves every step, and the
+    descent ends once every step is below the relative step floor. One
     iteration is one sweep, and max_step is the largest step size.
 
-    Converged means the cost fell below tol or every step hit the
-    relative step floor; exhausting max_iter returns converged=False
-    rather than raising. Identical problems give bit-identical results.
-
-    A palindromic problem (mirror-symmetric start and free set) moves each
-    mirrored pair as one coordinate, so every iterate stays symmetric. A
-    symmetric point can be stationary inside the symmetric subspace but
-    not in the full space; if either method stalls there above tol,
-    descent goes on per coordinate with fresh steps.
+    Every method moves each free key on its own coordinate, the two
+    entries of an m key together. Converged means final_cost <= tol, for
+    every method: a descent that ends at the step floor or at max_iter
+    above tol returns converged=False rather than raising. Identical
+    problems give bit-identical results.
 
     "nelder-mead" delegates to the scipy simplex implementation as a
     fallback for awkward landscapes; it shares the cost and convergence
@@ -355,11 +323,7 @@ def optimize(
 
     n = problem.initial.n
     p = _vector(problem.initial)
-    keyed, plan = _plans(problem.free_parameters, n)
-    m = p[:-2].reshape(n, n)  # mirror orbits only from a palindromic start
-    skewed = np.abs(m - m[::-1, ::-1].T).max() > _PALINDROME_RTOL * max(np.abs(m).max(), 1e-30)
-    if plan is None or skewed or abs(p[-1] - p[-2]) > _PALINDROME_RTOL * max(p[-2], p[-1]):
-        plan = keyed
+    plan = _plan(problem.free_parameters, n)
     current = cost(problem.initial, problem.cost_config)
     evaluate = _Evaluator(n, problem.cost_config)
     caller = np.geterr()  # on_iteration runs in it, not in the run's
@@ -368,62 +332,51 @@ def optimize(
             return _optimize_nelder_mead(p, n, plan, evaluate, current, max_iter, tol, step_floor)
 
         iterations = 0
-        converged = current <= tol
-        if method == "gradient" and not converged:
+        if method == "gradient" and current > tol:
             q = p.copy()
             budget = min(max_iter, _GRADIENT_STEPS)
             reached, history = _levenberg_marquardt(q, plan, current, evaluate, budget, tol, step_floor)
             # A run still descending at the step budget has, on the measured
             # problems, left for a valley away from the solution: drop it.
             if not (len(history) == _GRADIENT_STEPS < max_iter and reached > tol):
-                p, current, iterations, converged = q, reached, len(history), reached <= tol
-                plan = keyed  # any sweep goes on per key
+                p, current, iterations = q, reached, len(history)
                 if on_iteration is not None:
                     with np.errstate(**caller):
                         for i, (value, step) in enumerate(history, 1):
                             on_iteration(i, value, step)
 
-        orbits, steps = plan.orbits, None
-        while not converged and iterations < max_iter:
-            steps = steps or [_INITIAL_STEP * abs(p[orbit[0]]) or 0.01 for orbit in orbits]  # first sweep, new orbits
+        steps = [_INITIAL_STEP * abs(p[head]) or 0.01 for head in plan.heads]
+        while current > tol and iterations < max_iter:
             iterations += 1
             improved = False
-            for oi, orbit in enumerate(orbits):
-                old = p[orbit[0]]
+            for k, positions in enumerate(plan.positions):
+                old = p[positions[0]]
                 for sign in (1.0, -1.0):
-                    p[orbit] = old + sign * steps[oi]
+                    p[positions] = old + sign * steps[k]
                     trial = evaluate(p)
                     if trial < current:
                         current = trial
                         improved = True
                         break
-                    p[orbit] = old
+                    p[positions] = old
             if on_iteration is not None:
                 with np.errstate(**caller):
                     on_iteration(iterations, float(current), max(steps))
-            if current <= tol:
-                converged = True
-                break
             if not improved:
                 steps = [st / 2.0 for st in steps]
-                if all(st < step_floor * max(1.0, abs(p[orbit[0]])) for st, orbit in zip(steps, orbits)):
-                    if orbits is keyed.orbits:
-                        converged = True
-                        break
-                    # The grouped descent stalled inside the mirror-symmetric
-                    # subspace, which can be a saddle of the full space.
-                    orbits, steps = keyed.orbits, None
+                if all(st < step_floor * max(1.0, abs(p[head])) for st, head in zip(steps, plan.heads)):
+                    break
 
     return OptimizationResult(
         final=_matrix(current.p, n),  # the point of the last accepted cost
         final_cost=float(current),
         iterations=iterations,
-        converged=converged,
+        converged=current <= tol,
     )
 
 
 def _levenberg_marquardt(p, plan, current, evaluate, max_steps, tol, step_floor):
-    """Damped Gauss-Newton steps on plan's orbit values, in place on p, each
+    """Damped Gauss-Newton steps on plan's key values, in place on p, each
     from the Jacobian that its point's cost (start or accepted trial) keeps.
     With Js the Jacobian over its column norms D, the point's H = Js^T Js and
     g = Js^T r; a trial at damping mu solves (H + mu I) y = -g once and moves
@@ -432,8 +385,8 @@ def _levenberg_marquardt(p, plan, current, evaluate, max_steps, tol, step_floor)
     Returns the cost and the (cost, max_step) of every accepted step, once
     the cost is at most tol, max_steps steps were taken, no damped step
     larger than the step floor lowers the cost, or the Jacobian is not
-    finite. Every position of an orbit takes the orbit's new value, so a
-    palindromic p stays exactly symmetric.
+    finite. Both positions of an m key take its new value, so m stays
+    symmetric.
     """
     damping = 1e-3
     history: list[tuple[float, float]] = []
@@ -483,7 +436,7 @@ def _optimize_nelder_mead(p, n, plan, evaluate, initial_cost, max_iter, tol, ste
         x0,
         method="Nelder-Mead",
         options={
-            "maxiter": max_iter * max(len(plan.orbits), 1) * 4,
+            "maxiter": max_iter * len(plan.heads) * 4,
             "fatol": tol,
             "xatol": step_floor * max(1.0, np.abs(x0).max()),
         },
@@ -493,5 +446,5 @@ def _optimize_nelder_mead(p, n, plan, evaluate, initial_cost, max_iter, tol, ste
         final=_matrix(p, n),
         final_cost=float(final_cost),
         iterations=int(res.nit),
-        converged=bool(final_cost <= tol or res.success),
+        converged=bool(final_cost <= tol),
     )

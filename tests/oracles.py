@@ -8,7 +8,7 @@ each is a slower, independent way to the same numbers.
 - char_poly_from_eigenvalues: a monic polynomial expanded from its roots,
   the check on the eigenvalue route to the characteristic polynomials.
 - residuals_all_columns: the least-squares residual and its Jacobian over
-  the orbits, from the derivative along every entry of p.
+  the free keys, from the derivative along every entry of p.
 - marquardt_step_svd: the damped least-squares step from the SVD of the
   Marquardt-scaled Jacobian, with no normal equations.
 - chebyshev_reference: the closed-form response, poles, reflection zeros
@@ -87,10 +87,10 @@ def char_poly_from_eigenvalues(eigenvalues) -> PolynomialCoefficients:
     return PolynomialCoefficients(coeffs=tuple(coeffs[::-1]))
 
 
-def residuals_all_columns(solved, orbits, config) -> tuple[np.ndarray, np.ndarray]:
+def residuals_all_columns(solved, positions, config) -> tuple[np.ndarray, np.ndarray]:
     """optimizer._residuals the long way: dS11 along all n^2 + 2 entries of
     p = [*m.ravel(), qe1, qen], real and imaginary rows at the zeros and
-    d|S11| rows at the edges, then one .sum per orbit over its columns."""
+    d|S11| rows at the edges, then one .sum per key over its positions' columns."""
     qe1, qen, x, s11 = solved.qe1, solved.qen, solved.x, solved.s11
     d = np.empty((s11.size, x.shape[1] ** 2 + 2), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -102,7 +102,7 @@ def residuals_all_columns(solved, orbits, config) -> tuple[np.ndarray, np.ndarra
         r = np.concatenate([zeros.real, zeros.imag, mag - config.edge_s11_mag])
         edge_rows = (edges.conj()[:, None] * d[-2:]).real / np.where(mag > 0, mag, 1.0)[:, None]
         jac = np.concatenate([d[:-2].real, d[:-2].imag, edge_rows])
-        return r, np.stack([jac[:, orbit].sum(axis=1) for orbit in orbits], axis=1)
+        return r, np.stack([jac[:, pos].sum(axis=1) for pos in positions], axis=1)
 
 
 def marquardt_step_svd(r, jac, damping) -> np.ndarray:

@@ -10,7 +10,7 @@ import resonet as rn
 from oracles import marquardt_step_svd, residuals_all_columns
 from resonet import optimizer
 from resonet.errors import InvalidSpecError, NumericalError, SingularFrequencyError
-from resonet.optimizer import _Evaluator, _plans, _residuals, _vector
+from resonet.optimizer import _Evaluator, _plan, _residuals, _vector
 
 # The descent methods that share the monotone, deterministic contract.
 DESCENT_METHODS = ("sweep", "gradient")
@@ -167,7 +167,11 @@ def test_each_descent_method_is_deterministic(cm4, xband4, config4, method):
 
 
 def test_palindromic_start_stays_palindromic(cm4, xband4, config4):
-    # palindromic perturbation: end couplings moved together
+    # Palindromic perturbation: end couplings moved together. Every key moves
+    # on its own, so the result leaves the mirror by rounding only: measured
+    # 1.8e-9 under "gradient" and 0 under "sweep", against a bound 5x above
+    # that. Both reach the synthesized matrix: within 6.4e-7 measured, 1e-5
+    # bound.
     m = np.array(cm4.m)
     m[0, 1] = m[1, 0] = m[0, 1] * 1.05
     m[2, 3] = m[3, 2] = m[0, 1]
@@ -181,10 +185,10 @@ def test_palindromic_start_stays_palindromic(cm4, xband4, config4):
     )
     for method in DESCENT_METHODS:
         result = rn.optimize(problem, method=method)
-        assert result.converged
+        assert result.converged and result.final_cost <= 1e-10
         flipped = result.final.m[::-1, ::-1].T
-        assert np.max(np.abs(result.final.m - flipped)) < 1e-9
-        assert result.final.m[0, 1] == pytest.approx(cm4.m[0, 1], abs=1e-3)
+        assert np.max(np.abs(result.final.m - flipped)) < 1e-8
+        assert np.max(np.abs(result.final.m - cm4.m)) < 1e-5
 
 
 def test_max_iter_exhaustion_is_not_an_error(cm4, xband4, config4):
@@ -325,9 +329,9 @@ def scaled_start(spec, factors, qe_factor=1.0):
     ],
 )
 def test_mirror_symmetric_start_does_not_stall(order, factors):
-    # From these starts the mirror-grouped descent alone, sweep or gradient,
-    # stops at cost ~0.025, a point stationary inside the symmetric subspace
-    # only.
+    # From these starts a descent that moved mirrored keys as one
+    # coordinate, sweep or gradient, stopped at cost ~0.025, a point
+    # stationary inside the symmetric subspace only.
     spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
     cm, start = scaled_start(spec, factors)
     problem = rn.OptimizationProblem(
@@ -344,29 +348,27 @@ def test_mirror_symmetric_start_does_not_stall(order, factors):
             assert result.final.m[i, i + 1] == pytest.approx(cm.m[i, i + 1], abs=1e-3)
 
 
-def test_qe_pair_moves_as_one_orbit(yband4):
+def test_a_start_just_off_the_mirror_gives_the_palindromic_result(yband4):
+    # Every key moves on its own, so the result is continuous at a
+    # mirror-symmetric start: one part in 1e9 off the mirror takes the same
+    # iterations and lands within 2.4e-15 (measured) of the palindromic run.
     config = rn.CostConfig.from_spec(yband4)
     free = rn.ladder_free_parameters(4, include_qe=True)
     _, start = scaled_start(yband4, (1.04, 0.97, 1.04), qe_factor=1.03)
-    problem = rn.OptimizationProblem(
-        initial=start, spec=yband4, free_parameters=free, cost_config=config
-    )
-    # One part in 1e9 off the mirror: every key moves on its own.
     _, skewed = scaled_start(yband4, (1.04, 0.97, 1.04 * (1 + 1e-9)), qe_factor=1.03)
-    for method in DESCENT_METHODS:
-        final = rn.optimize(problem, max_iter=40, method=method).final
-        assert final.qe1 == final.qen
-        assert final.m[0, 1] == final.m[2, 3]
-
-        final = rn.optimize(dataclasses.replace(problem, initial=skewed), max_iter=40, method=method).final
-        assert final.qe1 != final.qen
-        assert final.m[0, 1] != final.m[2, 3]
+    problem = rn.OptimizationProblem(initial=start, spec=yband4, free_parameters=free, cost_config=config)
+    on, off = rn.optimize(problem), rn.optimize(dataclasses.replace(problem, initial=skewed))
+    assert on.converged and off.converged
+    assert on.iterations == off.iterations
+    assert np.abs(on.final.m - off.final.m).max() <= 1e-12
+    assert abs(on.final.qe1 - off.final.qe1) <= 1e-12 and abs(on.final.qen - off.final.qen) <= 1e-12
 
 
-def test_gradient_run_that_creeps_away_gives_the_sweep_result(yband4):
-    # From this mirror-symmetric start with both qe free, least squares
-    # creeps toward couplings 40x too large; the run is dropped and the
-    # sweep from the same start decides the result.
+def test_gradient_reaches_tol_from_a_start_it_once_crept_away_from(yband4, monkeypatch):
+    # From this mirror-symmetric start with both qe free, least squares on
+    # mirror orbits crept toward couplings 40x too large and the coordinate
+    # sweep took 898 iterations. One coordinate per key reaches tol in 9
+    # least-squares steps, with no sweep.
     cm, start = scaled_start(yband4, (1.0491211213153973, 1.0428937281434858, 1.0491211213153973),
                              qe_factor=1.027651485181897)
     problem = rn.OptimizationProblem(
@@ -375,12 +377,60 @@ def test_gradient_run_that_creeps_away_gives_the_sweep_result(yband4):
         free_parameters=rn.ladder_free_parameters(4, include_qe=True),
         cost_config=rn.CostConfig.from_spec(yband4),
     )
-    gradient = rn.optimize(problem)
-    sweep = rn.optimize(problem, method="sweep")
-    assert gradient.final_cost == sweep.final_cost <= 1e-10
-    assert gradient.iterations == sweep.iterations
-    assert np.array_equal(gradient.final.m, sweep.final.m)
-    assert np.abs(gradient.final.m - cm.m).max() < 1e-3
+    runs, levenberg_marquardt = [], optimizer._levenberg_marquardt
+
+    def spy(*args):
+        runs.append(levenberg_marquardt(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(optimizer, "_levenberg_marquardt", spy)
+    result = rn.optimize(problem)
+    [(reached, history)] = runs
+    assert result.converged and result.final_cost == reached <= 1e-10
+    assert result.iterations == len(history) < 20
+    assert np.abs(result.final.m - cm.m).max() < 1e-6
+
+
+def mirror_symmetric_problem(order, keys, seed, diagonal_offset=0.0):
+    """The synthesized matrix with each free key and its mirror (m[i, j] with
+    m[n+1-j, n+1-i], qe1 with qen) set to the key's value times one factor
+    1 + U(-0.05, 0.05), drawn in key order as the benchmark's symmetric
+    perturbation draws them; then, with a diagonal_offset d, a palindromic
+    diagonal from U(-d, d) draws for its first half, as a problem."""
+    spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+    cm = rn.synthesize_design(spec).matrix
+    rng, p, done = np.random.default_rng(seed), _vector(cm), set()
+    for key in keys:
+        if key[0] == "m":
+            twin = ("m", order + 1 - key[2], order + 1 - key[1])
+        else:
+            twin = ("qen",) if key == ("qe1",) else ("qe1",)
+        if key not in done:
+            at = optimizer._positions(key, order)
+            p[at + optimizer._positions(twin, order)] = p[at[0]] * (1.0 + rng.uniform(-0.05, 0.05))
+            done |= {key, twin}
+    if diagonal_offset:
+        i, offsets = np.arange(order), rng.uniform(-diagonal_offset, diagonal_offset, order)
+        p[i * (order + 1)] = offsets[np.minimum(i, order - 1 - i)]
+    start = rn.CouplingMatrix(m=p[:-2].reshape(order, order), qe1=p[-2], qen=p[-1])
+    return rn.OptimizationProblem(initial=start, spec=spec, free_parameters=keys,
+                                  cost_config=rn.CostConfig.from_spec(spec))
+
+
+@pytest.mark.parametrize("free, seed", [("qe", 1002), ("qe", 1014), ("diagonal", 1002), ("diagonal", 1003)])
+def test_gradient_solves_mirror_symmetric_starts_it_once_missed(free, seed):
+    # Order 8, both qe free, or the whole diagonal free with a palindromic
+    # diagonal offset of up to 0.03 and max_iter 500. Moving mirrored keys as
+    # one coordinate, these seeds ended at max_iter 2000 above tol (qe, after
+    # a dropped least-squares run) or reported converged at cost 0.0129
+    # (diagonal). One coordinate per key takes 5-18 least-squares steps.
+    ladder = rn.ladder_free_parameters(8)
+    if free == "qe":
+        result = rn.optimize(mirror_symmetric_problem(8, ladder + (("qe1",), ("qen",)), seed))
+    else:
+        diagonal = tuple(("m", i, i) for i in range(1, 9))
+        result = rn.optimize(mirror_symmetric_problem(8, ladder + diagonal, seed, diagonal_offset=0.03), max_iter=500)
+    assert result.converged and result.final_cost <= 1e-10
 
 
 def test_gradient_step_past_a_positive_qe_is_rejected(cm4, xband4, config4):
@@ -398,13 +448,6 @@ def test_gradient_step_past_a_positive_qe_is_rejected(cm4, xband4, config4):
     assert result.final_cost <= 1e-10
 
 
-def plan_for(keys, order, palindromic):
-    """The plan optimize takes for the free set keys from a start that is
-    palindromic or not."""
-    keyed, grouped = _plans(tuple(dict.fromkeys(keys)), order)
-    return grouped if palindromic and grouped is not None else keyed
-
-
 def evaluated(p, order, config):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _Evaluator(order, config)(p)
@@ -412,7 +455,7 @@ def evaluated(p, order, config):
 
 def jacobian_cases(order, rng):
     """(p, plan) over ladder, diagonal, qe1/qen and cross keys: once at a
-    palindromic point, where mirrored keys form orbits, once off it."""
+    palindromic point, once off it."""
     spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
     cm = rn.synthesize_design(spec).matrix
     keys = [*rn.ladder_free_parameters(order, include_qe=True)]
@@ -426,15 +469,14 @@ def jacobian_cases(order, rng):
     palindromic = (m + m[::-1, ::-1].T) / 2.0
     for start, qe in ((palindromic, (cm.qe1, cm.qe1)), (m, (cm.qe1 * 1.02, cm.qen * 0.98))):
         p = _vector(rn.CouplingMatrix(m=start, qe1=qe[0], qen=qe[1]))
-        yield p, plan_for(keys, order, start is palindromic), rn.CostConfig.from_spec(spec)
+        yield p, _plan(tuple(dict.fromkeys(keys)), order), rn.CostConfig.from_spec(spec)
 
 
 @pytest.mark.parametrize("order", [4, 6, 8, 12])
 def test_residuals_are_the_all_column_construction_bit_for_bit(order):
-    # The Jacobian formed at the free positions only, summed per orbit
-    # length, against tests/oracles.py's n^2 + 2 columns and one .sum per
-    # orbit. Mirror-symmetric starts with both qe free give four-position
-    # orbits, where a sum in another order (np.add.reduceat) changes bits.
+    # The Jacobian formed at the free positions only, summed per key by
+    # np.add.reduceat, against tests/oracles.py's n^2 + 2 columns and one
+    # .sum per key.
     spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
     cm = rn.synthesize_design(spec).matrix
     config = rn.CostConfig.from_spec(spec)
@@ -456,12 +498,10 @@ def test_residuals_are_the_all_column_construction_bit_for_bit(order):
             if name.startswith("mirror"):
                 m, qe = (m + m[::-1, ::-1].T) / 2.0, (qe[0], qe[0])
             p = _vector(rn.CouplingMatrix(m=m, qe1=qe[0], qen=qe[1]))
-            plan = plan_for(keys, order, name.startswith("mirror"))
-            if name.startswith("mirror"):
-                assert max(len(orbit) for orbit in plan.orbits) == 4
+            plan = _plan(keys, order)
             solved = evaluated(p, order, config)
             r, jac = _residuals(solved, plan.gather, config)
-            r0, jac0 = residuals_all_columns(solved, plan.orbits, config)
+            r0, jac0 = residuals_all_columns(solved, plan.positions, config)
             assert r.tobytes() == r0.tobytes()
             assert jac.shape == jac0.shape and jac.tobytes() == jac0.tobytes()
             # the layout too: the least-squares step's column norms sum in it
@@ -471,21 +511,17 @@ def test_residuals_are_the_all_column_construction_bit_for_bit(order):
 @pytest.mark.parametrize("order", range(2, 21))
 def test_jacobian_matches_central_differences(order):
     rng = np.random.default_rng(order)
-    orbit_counts = []
     for p, plan, config in jacobian_cases(order, rng):
-        orbit_counts.append(len(plan.orbits))
         residuals = lambda q: _residuals(evaluated(q, order, config), plan.gather, config)
         r, jac = residuals(p)
-        assert jac.shape == (r.size, len(plan.orbits))
-        for k, orbit in enumerate(plan.orbits):
-            h = 1e-6 * max(1.0, abs(p[orbit[0]]))
+        assert jac.shape == (r.size, len(plan.positions))
+        for k, positions in enumerate(plan.positions):
+            h = 1e-6 * max(1.0, abs(p[positions[0]]))
             plus, minus = p.copy(), p.copy()
-            plus[orbit] += h
-            minus[orbit] -= h
+            plus[positions] += h
+            minus[positions] -= h
             column = (residuals(plus)[0] - residuals(minus)[0]) / (2 * h)
             assert np.abs(jac[:, k] - column).max() <= 1e-6 * max(1.0, np.abs(column).max())
-    # mirrored keys share an orbit at the palindromic point only
-    assert orbit_counts[0] < orbit_counts[1]
 
 
 def test_least_squares_solves_no_point_twice(cm4, xband4, config4, monkeypatch):
@@ -526,7 +562,7 @@ def optimizer_jacobians():
             keys = rn.ladder_free_parameters(order, include_qe=include_qe)
             problem = rn.OptimizationProblem(initial=cm, spec=spec, free_parameters=keys, cost_config=config)
             p = _vector(rn.perturbed(problem, np.random.default_rng(order), 0.05).initial)
-            yield _residuals(evaluated(p, order, config), plan_for(keys, order, False).gather, config)
+            yield _residuals(evaluated(p, order, config), _plan(keys, order).gather, config)
 
 
 def tried_step(monkeypatch, r, jac, damping):
@@ -712,18 +748,16 @@ def test_one_run_builds_one_matrix_and_reuses_the_cached_plan(cm4, xband4, confi
     built = count_matrices(monkeypatch)
     first = rn.optimize(problem, method=method, max_iter=50)
     assert built == [first.final]
-    hits = _plans.cache_info().hits
+    hits = _plan.cache_info().hits
     second = rn.optimize(problem, method=method, max_iter=50)
-    assert _plans.cache_info().hits == hits + 1
+    assert _plan.cache_info().hits == hits + 1
     assert built == [first.final, second.final]
-    for plan in _plans(problem.free_parameters, 4):
-        if plan is None:
-            continue
-        (rows, cols), _, groups, order = plan.gather
-        for array in (*plan.orbits, plan.heads, plan.flat, plan.owner, rows, cols, order, *(g for g, _ in groups)):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[...] = 0
+    plan = _plan(problem.free_parameters, 4)
+    (rows, cols), _, index, starts = plan.gather
+    for array in (*plan.positions, plan.heads, plan.flat, plan.owner, rows, cols, index, starts):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
 
 
 def test_threads_on_one_free_set_give_the_serial_results(cm4, xband4, config4):
@@ -755,16 +789,16 @@ def test_threads_on_one_free_set_give_the_serial_results(cm4, xband4, config4):
         assert got.final.m.tobytes() == want.final.m.tobytes() and (got.final.qe1, got.final.qen) == (want.final.qe1, want.final.qen)
 
 
-def test_sweep_ends_converged_at_the_step_floor_above_tol(cm4, xband4, config4):
+def test_sweep_ends_unconverged_at_the_step_floor_above_tol(cm4, xband4, config4):
     # One free coupling cannot undo the detuning of another: every step
-    # halves below the floor and the sweep stops converged, above tol.
+    # halves below the floor and the sweep stops above tol, not converged.
     m = np.array(cm4.m)
     m[1, 2] = m[2, 1] = m[1, 2] * 1.05
     start = rn.CouplingMatrix(m=m, qe1=cm4.qe1, qen=cm4.qen)
     problem = rn.OptimizationProblem(initial=start, spec=xband4, free_parameters=(("m", 1, 2),), cost_config=config4)
     steps = []
     result = rn.optimize(problem, method="sweep", on_iteration=lambda i, c, s: steps.append(s))
-    assert result.converged and result.final_cost > 1e-6
+    assert not result.converged and result.final_cost > 1e-6
     assert result.iterations == len(steps) < 2000
     assert steps[-1] / 2.0 < 1e-9 * max(1.0, abs(result.final.m[0, 1])) <= steps[-1]
     assert result.final_cost < rn.cost(start, config4)
