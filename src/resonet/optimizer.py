@@ -295,7 +295,9 @@ def optimize(
     a negative step on every free coordinate, accepting only
     improvements; a sweep with no improvement halves every step, and the
     descent ends once every step is below the relative step floor. One
-    iteration is one sweep, and max_step is the largest step size.
+    iteration is one sweep, and max_step is the largest step size. In both
+    descents a trial that leaves the domain, a qe at or below zero or a
+    filter matrix singular at a target, costs inf and is rejected.
 
     Every method moves each free key on its own coordinate, the two
     entries of an m key together. Converged means final_cost <= tol, for
@@ -353,7 +355,7 @@ def optimize(
                 old = p[positions[0]]
                 for sign in (1.0, -1.0):
                     p[positions] = old + sign * steps[k]
-                    trial = evaluate(p)
+                    trial = _trial(evaluate, p)
                     if trial < current:
                         current = trial
                         improved = True
@@ -373,6 +375,15 @@ def optimize(
         iterations=iterations,
         converged=current <= tol,
     )
+
+
+def _trial(evaluate, p):
+    """The cost at p, or math.inf where p leaves the domain: a qe at or
+    below zero, or a singular filter matrix at a target frequency."""
+    try:
+        return evaluate(p)
+    except (InvalidSpecError, SingularFrequencyError):
+        return math.inf
 
 
 def _levenberg_marquardt(p, plan, current, evaluate, max_steps, tol, step_floor):
@@ -408,12 +419,7 @@ def _levenberg_marquardt(p, plan, current, evaluate, max_steps, tol, step_floor)
                 p[plan.flat] = start[plan.owner]
                 return current, history
             p[plan.flat] = (start + step)[plan.owner]
-            try:
-                trial = evaluate(p)
-            except (InvalidSpecError, SingularFrequencyError):
-                # the step left the domain: a qe at or below zero, or a
-                # singular filter matrix at a target frequency
-                trial = math.inf
+            trial = _trial(evaluate, p)
             if trial < current:
                 break
             damping *= 10.0

@@ -1,25 +1,18 @@
 """S-parameter evaluation and response metrics for coupled-resonator filters.
 
-One kernel computes every S-parameter over an array of complex
-frequencies, port-major: S_pq over the grid is the contiguous row
-result[p, q] of its one (2, 2) + s.shape result. It fills that result in
-one streamed pass over blocks of points and takes a block's port entries
-of inv(A) by one of two routes. Long sweeps take the pole-residue form:
-one eigen solve of the complex-symmetric pole matrix, whose inverse
-eigenvector matrix is diag(1 / d) V^T, then per block a pole-major
-reciprocal and one product with the residues, O(n) per point, S21 a copy
-of S12. They take it only where _residue_ports admits the matrix and
-every point is finite with Re s >= 0, which proves that the singularity
-guard passes at every point, so no guard runs. Every other input, the
-one-point s_parameters and s_matrix and the optimizer's targets too, is
-_lu_scattering's: one LU solve per point under the guard, whose scale,
-max|A_ij| at each point, is read off the A it solves. So a grid equals
-per-point s_matrix bit for bit within one numpy/BLAS stack unless it
-takes residues; there the last bits depend on the BLAS kernel's GEMM.
-Either way a grid gives the same bytes on every call and holds the 64 B
-per point of its result plus one block's scratch, about n * 64 KiB. The
-tests check the kernel against a determinant/cofactor reference
-(tests/oracles.py) under the same guard.
+One kernel, _scattering, computes every S-parameter over an array of
+points in one streamed pass over blocks, port-major: S_pq is the
+contiguous row result[p, q]. sweep hands it the Hz grid and the map to
+s = j omega, applied block by block. Long grids on a matrix _residue_ports
+admits take the pole residues, O(n) per point after one eigen solve,
+unguarded, since the admission rule proves that the guard passes. Every
+other input, the one-point s_parameters and s_matrix and the optimizer's
+targets too, takes _lu_scattering's LU solve per point under the guard.
+So a grid equals per-point s_matrix bit for bit within one numpy/BLAS
+stack unless it takes residues, whose last bits depend on the BLAS
+kernel's GEMM. A sweep holds the 72 B per point of its S and grid plus
+one block's scratch, about n * 64 KiB. The tests check the kernel against
+a determinant/cofactor reference (tests/oracles.py) under the same guard.
 """
 
 from __future__ import annotations
@@ -79,8 +72,9 @@ class FrequencyResponse:
     """Sampled two-port response over a strictly increasing grid in Hz.
 
     s12 and s22 are None for CSV data and two-array callers. Entries must
-    match the grid in length and be finite and passive. Writable inputs are
-    copied; read-only ones, such as a sweep's kernel output, are kept.
+    match the grid in length and be finite and passive. Writable inputs,
+    the grid too, are copied; read-only ones, such as a sweep's grid and
+    kernel output, are kept.
     """
 
     grid: np.ndarray
@@ -90,7 +84,7 @@ class FrequencyResponse:
     s22: np.ndarray | None = None
 
     def __post_init__(self):
-        grid = np.array(self.grid, dtype=float)
+        grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise InvalidSpecError("grid must be a non-empty 1-d sequence")
         names = ["s11", "s21"] + [name for name in ("s12", "s22") if getattr(self, name) is not None]
@@ -99,7 +93,7 @@ class FrequencyResponse:
             raise InvalidSpecError(f"grid, {', '.join(names)} must have equal length")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise InvalidSpecError("grid must be strictly increasing")
-        data = [arr.copy() if arr.flags.writeable else arr for arr in given]
+        grid, *data = [arr.copy() if arr.flags.writeable else arr for arr in (grid, *given)]
         worst = np.max([np.abs(arr).max() for arr in data])  # NaN or inf if any entry is not finite
         if not (np.all(np.isfinite(grid)) and np.isfinite(worst)):
             raise InvalidSpecError("response data must be finite")
@@ -127,40 +121,43 @@ class ResponseMetrics:
             raise InvalidSpecError("bandwidth cannot be negative")
 
 
-def _scattering(cm: CouplingMatrix, s):
-    """The 2x2 block [[S11, S12], [S21, S22]] at every point of s, as the
-    (2, 2) + s.shape result: S_pq is the contiguous row result[p, q].
+def _scattering(cm: CouplingMatrix, points, to_s=None):
+    """The 2x2 block [[S11, S12], [S21, S22]] at every point, as the
+    (2, 2) + points.shape result: S_pq is the contiguous row result[p, q].
 
-    Grids of more than max(_RESIDUE_POINTS_PER_POLE n, 48) points, each
-    finite with Re s >= 0, on a matrix _residue_ports admits, take the port
-    entries of inv(A) from the pole residues, unguarded, in one
-    (n, _BLOCK_POINTS) scratch array. Any other input takes _lu_scattering
-    in blocks of _BLOCK_POINTS // n points, an A as large as the residue
-    scratch, and equals per-point s_matrix bit for bit.
+    The points are s or, given to_s, map to s block by block. Grids of more
+    than max(_RESIDUE_POINTS_PER_POLE n, 48) points, each s finite with
+    Re s >= 0, on a matrix _residue_ports admits, take its residues R,
+    unguarded: W = [F R | e], F the port factors and e = (1, 0, 0, 1), times
+    an (n + 1, _BLOCK_POINTS) scratch whose last row stays 1 is S. A to_s
+    must map every point to such an s: sweep's, f -> 1j omega(f), does once
+    omega is finite at its grid's ends, as sweep checks, since each rounded
+    step of normalized_frequency is monotone, so omega at a linspace point
+    lies between its values at the ends, and Re(1j omega) = +-0. Other
+    inputs take _lu_scattering in blocks of _BLOCK_POINTS // n points, an A
+    as large as the residue scratch, and equal per-point s_matrix bit for bit.
     """
-    s = np.asarray(s, dtype=complex)
-    points = s.ravel()
-    out = np.empty((2, 2) + s.shape, dtype=complex)
-    x = out.reshape(4, points.size)
+    points = np.asarray(points, dtype=None if to_s else complex)
+    out = np.empty((2, 2) + points.shape, dtype=complex)
+    flat, x = points.ravel(), out.reshape(4, points.size)
+    mapped, to_s = to_s is not None, to_s or (lambda block: block)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        poles = _residue_ports(cm) if points.size > max(_RESIDUE_POINTS_PER_POLE * cm.n, 48) else None
-        if poles is not None and np.isfinite(points).all() and points.real.min() >= 0:
+        poles = _residue_ports(cm) if flat.size > max(_RESIDUE_POINTS_PER_POLE * cm.n, 48) else None
+        if poles is not None and (mapped or np.isfinite(flat).all() and flat.real.min() >= 0):
             lam, residues = poles
-            factors = _port_factors(cm.qe1, cm.qen)
-            t = np.empty((cm.n, min(_BLOCK_POINTS, points.size)), dtype=complex)
-            for lo in range(0, points.size, _BLOCK_POINTS):
-                block = points[lo : lo + _BLOCK_POINTS]
+            w = np.hstack([_port_factors(cm.qe1, cm.qen) * residues, [[1.0], [0.0], [0.0], [1.0]]])
+            t = np.ones((cm.n + 1, min(_BLOCK_POINTS, flat.size)), dtype=complex)
+            for lo in range(0, flat.size, _BLOCK_POINTS):
+                block = to_s(flat[lo : lo + _BLOCK_POINTS])
                 ports, scratch = x[:, lo : lo + block.size], t[:, : block.size]
-                np.subtract(block, lam[:, None], out=scratch)
-                np.reciprocal(scratch, out=scratch)
-                np.matmul(residues, scratch, out=ports)
+                np.subtract(block, lam[:, None], out=scratch[:-1])
+                np.reciprocal(scratch[:-1], out=scratch[:-1])
+                np.matmul(w, scratch, out=ports)
                 ports[2] = ports[1]  # S21 is S12, bit for bit
-                ports *= factors
-                ports[::3] += 1.0
         else:
             step = max(1, _BLOCK_POINTS // cm.n)
-            for lo in range(0, points.size, step):
-                block = points[lo : lo + step]
+            for lo in range(0, flat.size, step):
+                block = to_s(flat[lo : lo + step])
                 x[:, lo : lo + step] = _lu_scattering(system_matrix(cm, block), block, cm.qe1, cm.qen)[1].reshape(4, -1)
     return out
 
@@ -326,25 +323,30 @@ def band_edge_frequencies(spec: FilterSpec) -> tuple[float, float]:
 def sweep(cm: CouplingMatrix, spec: FilterSpec, f_start_hz: float, f_stop_hz: float, points: int) -> FrequencyResponse:
     """Evaluate the full two-port S-matrix on a linear frequency grid.
 
-    S11, S21, S12 and S22 all come from one kernel call at s = j omega,
-    omega = normalized_frequency(f). Within one numpy/BLAS stack a grid
-    gives the same bytes on every call. It equals s_matrix at each point
-    exactly unless it has more than max(4 n, 48) points on a matrix that
-    _residue_ports admits; then it takes pole residues, whose last bits
+    S11, S21, S12 and S22 all come from one kernel pass at s = j omega,
+    omega = normalized_frequency(f), mapped block by block; a band whose
+    ends map to no finite omega is refused. Within one numpy/BLAS stack a
+    grid gives the same bytes on every call. It equals s_matrix at each
+    point exactly unless it has more than max(4 n, 48) points on a matrix
+    that _residue_ports admits; then it takes pole residues, whose last bits
     depend on the BLAS kernel, with S21 a copy of S12. Against the closed
     form Chebyshev |S|^2 of orders 2 to 20 on 100k points over omega -3 to
-    3, LU stays within 9e-15 and residues within 5e-13 (OpenBLAS, x86). It
-    holds the 64 B per point of the S block it returns plus one block's
-    scratch, about n * 64 KiB on either path: about 10 MB traced in all for
-    100k points at n = 4 to 20 on residues and n = 2 to 20 on LU.
+    3, LU stays within 9e-15 and residues within 5e-13 (OpenBLAS, x86). The
+    response keeps the grid and the S block, 72 B per point; with one
+    block's scratch, under 8.6 MiB traced for 100k points at n = 2 to 20.
     """
     if not is_whole(points, least=2):
         raise InvalidSpecError(f"points must be an integer >= 2, got {points}")
     if not 0 < f_start_hz < f_stop_hz < math.inf:
         raise InvalidSpecError("need 0 < f_start < f_stop < inf")
+    with np.errstate(over="ignore"):
+        ends = normalized_frequency(np.array([f_start_hz, f_stop_hz]), spec)
+    if not np.isfinite(ends).all():
+        raise InvalidSpecError(f"{f_start_hz} to {f_stop_hz} Hz maps to omega {ends[0]} to {ends[1]}, not finite")
     try:
         f = np.linspace(f_start_hz, f_stop_hz, int(points))
-        sm = _scattering(cm, 1j * normalized_frequency(f, spec))
+        f.setflags(write=False)  # the response keeps the grid, not a copy
+        sm = _scattering(cm, f, lambda block: 1j * normalized_frequency(block, spec))
     except MemoryError as err:
         raise InvalidSpecError(f"points = {points} is too many to sweep in memory") from err
     sm.setflags(write=False)  # the response keeps its rows as views, not copies
@@ -355,10 +357,8 @@ def sweep(cm: CouplingMatrix, spec: FilterSpec, f_start_hz: float, f_stop_hz: fl
 def sweep_two_port(
     cm: CouplingMatrix, spec: FilterSpec, f_start_hz: float, f_stop_hz: float, points: int
 ) -> tuple[FrequencyResponse, np.ndarray, np.ndarray]:
-    """sweep, returned as (response, response.s12, response.s22).
-
-    Kept only for the benchmark under bench/, which calls it; no caller in
-    src/. Not exported from the package."""
+    """sweep, returned as (response, response.s12, response.s22), for the
+    benchmark under bench/ alone: no caller in src/, not exported."""
     resp = sweep(cm, spec, f_start_hz, f_stop_hz, points)
     return resp, resp.s12, resp.s22
 

@@ -615,6 +615,16 @@ def test_optimize_with_an_overflowing_qe_exits_3_without_a_warning(table2_design
     assert re.fullmatch(r"error: qe1 = 1e-310 is too small: 2 / qe1 overflows\n", done.stderr)
 
 
+def test_sweep_of_a_band_mapping_to_infinite_omega_exits_3_without_a_warning(table2_design, tmp_path):
+    # f0 / f overflows at 1e-318 GHz: the band is refused by its ends, exit 3,
+    # with no RuntimeWarning on stderr and no "singular" exit 6
+    done = run_python("-m", "resonet", "sweep", "--design", str(table2_design), "--f-start", "1e-318",
+                      "--f-stop", "11", "--points", "101", "--out", str(tmp_path / "s.s2p"))
+    assert done.returncode == 3
+    assert "Warning" not in done.stderr
+    assert re.fullmatch(r"error: \S+e-310 to 11000000000.0 Hz maps to omega -inf to \S+, not finite\n", done.stderr)
+
+
 # Prints whether numpy was loaded after `import resonet, resonet.cli`, the
 # exit code of main(argv), and whether numpy was loaded after it.
 START_UP_PROBE = (

@@ -802,3 +802,32 @@ def test_sweep_ends_unconverged_at_the_step_floor_above_tol(cm4, xband4, config4
     assert result.iterations == len(steps) < 2000
     assert steps[-1] / 2.0 < 1e-9 * max(1.0, abs(result.final.m[0, 1])) <= steps[-1]
     assert result.final_cost < rn.cost(start, config4)
+
+
+@pytest.mark.parametrize("error", [SingularFrequencyError, InvalidSpecError])
+def test_sweep_takes_a_trial_that_raises_as_infinite_cost(error, cm4, xband4, config4, monkeypatch):
+    # The coordinate sweep, as least squares, counts a trial the evaluator
+    # refuses (a singular target, a qe at or below zero) as a cost of inf:
+    # the run goes on, and ends where it ends when such a trial costs inf.
+    problem = perturbed_problem(cm4, xband4, config4, seed=7, amount=0.05)
+    call = _Evaluator.__call__
+
+    def run(refuse):
+        calls = []
+
+        def spy(self, p):
+            calls.append(None)
+            return refuse() if len(calls) % 5 == 3 else call(self, p)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Evaluator, "__call__", spy)
+            return rn.optimize(problem, method="sweep"), len(calls)
+
+    def raise_error():
+        raise error("refused trial")
+
+    got, calls = run(raise_error)
+    expected, _ = run(lambda: math.inf)
+    assert calls > 5 and got.converged
+    assert got.final_cost == expected.final_cost and got.iterations == expected.iterations
+    assert got.final.m.tobytes() == expected.final.m.tobytes()

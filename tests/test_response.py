@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,21 @@ def test_sweep_reflection_zero_locations(cm4, xband4):
 def test_sweep_validation(cm4, xband4, f_start, f_stop, points):
     with pytest.raises(InvalidSpecError):
         rn.sweep(cm4, xband4, f_start, f_stop, points)
+
+
+@pytest.mark.parametrize(
+    "f0_hz, f_start, f_stop", [(10e9, 1e-320, 11e9), (10e9, 5e-324, 11e9), (1e-300, 1e-301, 1e10)],
+    ids=["f0/f overflows", "smallest f", "f/f0 overflows"],
+)
+def test_sweep_refuses_a_band_whose_ends_map_to_infinite_omega(f0_hz, f_start, f_stop, cm4):
+    # the matrix is not singular there: omega = +-inf at an end is the band's
+    # fault, named by its frequencies before any point is mapped, with no
+    # RuntimeWarning (overflow in divide, invalid in multiply)
+    spec = rn.FilterSpec(order=4, f0_hz=f0_hz, bandwidth_hz=f0_hz / 20, ripple_db=0.04321)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpecError, match=rf"^{f_start} to {f_stop} Hz maps to omega .*inf.*, not finite$"):
+            rn.sweep(cm4, spec, f_start, f_stop, 101)
 
 
 def test_sweep_two_port_consistency(cm4, xband4):
@@ -455,6 +471,45 @@ def test_sweep_memory_is_the_s_block_not_the_order(order, xband4):
     assert peak <= 2 * (4 * points * 16)
 
 
+@pytest.mark.parametrize("order, route", [(2, "lu"), (4, "residues"), (8, "residues"), (8, "lu"), (16, "residues"),
+                                          (20, "residues"), (20, "lu")])
+def test_sweep_holds_its_grid_and_s_block_and_one_block_of_scratch(order, route, monkeypatch):
+    # a 100k-point sweep maps its Hz grid to s block by block: it holds the
+    # 72 B per point of the grid and S that the response keeps, plus
+    # (n + 20) * 64 KiB of scratch: the residue block's n + 1 rows, or an LU
+    # block's A and the solve's copy of it, and the block's temporaries.
+    # Measured on residues at n = 4, 8, 16, 20: 7.73, 7.77, 8.27, 8.52 MiB
+    # (bounds 8.37 to 9.37); on LU at n = 2, 8, 20: 7.73, 7.80, 8.88. With a
+    # full-length s and a copy of the grid held beside them, these read 8.96,
+    # 9.21, 9.71, 9.96 and 8.98, 9.32, 10.41 MiB, each past its bound.
+    spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+    cm = rn.synthesize_design(spec).matrix
+    if route == "lu":
+        monkeypatch.setattr(response, "_residue_ports", lambda cm: None)
+    else:
+        monkeypatch.setattr(response, "_lu_scattering", None)  # the residue route calls no LU
+    points = 100_000
+    tracemalloc.start()
+    try:
+        resp = rn.sweep(cm, spec, 9e9, 11e9, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(resp) == points
+    assert peak <= 72 * points + (order + 20) * 64 * 1024
+
+
+def test_sweep_response_keeps_the_grid_the_kernel_read(cm4, xband4, monkeypatch):
+    # the kernel reads the Hz grid itself, read-only, and maps it to s block
+    # by block; the response keeps that grid, not a copy
+    seen, scattering = [], response._scattering
+    monkeypatch.setattr(response, "_scattering", lambda cm, f, to_s: seen.append(f) or scattering(cm, f, to_s))
+    for points in (11, 1001):  # the LU and the residue sizes
+        resp = rn.sweep(cm4, xband4, 9e9, 11e9, points)
+        assert resp.grid is seen[-1] and not resp.grid.flags.writeable
+        assert resp.grid.tobytes() == np.linspace(9e9, 11e9, points).tobytes()
+
+
 @pytest.mark.parametrize("points", [11, 1001])  # the LU and the residue sizes
 def test_sweep_response_rows_are_read_only_views_of_one_block(points, cm4, xband4):
     resp = rn.sweep(cm4, xband4, 9e9, 11e9, points)
@@ -677,6 +732,31 @@ def test_kernel_is_the_closed_form_chebyshev_response(order, monkeypatch):
     assert np.abs(np.abs(response._scattering(cm, 1j * omega)) ** 2 - expected).max() <= 2e-14
 
 
+@pytest.mark.parametrize("order", range(2, 21))
+def test_sweep_on_a_hz_grid_is_the_closed_form_chebyshev_response(order, monkeypatch):
+    # |S_pq|^2 of a 100,003-point sweep over the Hz band of omega -3 to 3, on
+    # both routes, against oracles.chebyshev_reference at the grid's own
+    # omega = normalized_frequency(resp.grid): the kernel maps the grid to s
+    # block by block, the last block short. Measured worst (x86, OpenBLAS's
+    # SkylakeX, Haswell, Sandybridge and Prescott kernels): 8.7e-15 on LU
+    # (n = 15) and 4.8e-13 on residues (n = 18); the bounds leave 2.3x and 3x.
+    spec = rn.FilterSpec(order=order, f0_hz=10e9, bandwidth_hz=0.5e9, ripple_db=0.04321)
+    cm = rn.synthesize_design(spec).matrix
+    root = math.sqrt(1.0 + (3.0 * spec.fbw / 2.0) ** 2)  # omega = -+3, as in band_edge_frequencies
+    f_lo, f_hi = spec.f0_hz * (root - 3.0 * spec.fbw / 2.0), spec.f0_hz * (root + 3.0 * spec.fbw / 2.0)
+    reference = chebyshev_reference(spec)
+
+    def error(resp):
+        t = reference.s21_squared(rn.normalized_frequency(resp.grid, spec))
+        return np.abs(np.abs(np.stack([resp.s11, resp.s12, resp.s21, resp.s22])) ** 2 - [1.0 - t, t, t, 1.0 - t]).max()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(response, "_lu_scattering", None)  # the residue route calls no LU
+        assert error(rn.sweep(cm, spec, f_lo, f_hi, 100_003)) <= 1.5e-12
+    monkeypatch.setattr(response, "_residue_ports", lambda cm: None)
+    assert error(rn.sweep(cm, spec, f_lo, f_hi, 100_003)) <= 2e-14
+
+
 def test_response_validation_rejects_bad_grids():
     with pytest.raises(InvalidSpecError):
         rn.FrequencyResponse(grid=[2e9, 1e9], s11=[0, 0], s21=[0, 0])
@@ -693,12 +773,13 @@ def test_response_validation_rejects_bad_grids():
 
 
 def test_response_copies_writable_inputs_only():
-    s11 = np.array([0.5 + 0.0j])
-    resp = rn.FrequencyResponse(grid=[1e9], s11=s11, s21=[0.0])
-    s11[0] = 0.9
+    grid, s11 = np.array([1e9]), np.array([0.5 + 0.0j])
+    resp = rn.FrequencyResponse(grid=grid, s11=s11, s21=[0.0])
+    grid[0], s11[0] = 2e9, 0.9
+    assert resp.grid[0] == 1e9 and not resp.grid.flags.writeable
     assert resp.s11[0] == 0.5 and not resp.s11.flags.writeable
     again = rn.FrequencyResponse(grid=resp.grid, s11=resp.s11, s21=resp.s21)
-    assert again.s11 is resp.s11
+    assert again.grid is resp.grid and again.s11 is resp.s11
 
 
 def test_analyze_ideal_four_pole(cm4, xband4):
